@@ -297,7 +297,7 @@ impl AnalyticModel {
         let req = ProbeRequest::new(op, ws, stride)
             .with_stride2(stride2)
             .with_limits(limits);
-        let value = dispatch(&mut state.engine, &req).mb_s();
+        let value = dispatch(&mut state.engine, &req).map(|m| m.mb_s);
         state.anchors.insert(key, value);
         value
     }

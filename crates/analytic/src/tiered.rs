@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use gasnub_machines::cancel::CancelToken;
 use gasnub_machines::{
-    dispatch, Machine, MachineId, MachineSpec, MeasureLimits, Measurement, ProbeBackend, ProbeOp,
-    ProbeOutcome, ProbePath, ProbeRequest, ProbeTier, SpawnEngine, TransferEngine,
+    Machine, MachineId, MachineSpec, MeasureLimits, Measurement, ProbeOp, ProbePath, ProbeTier,
+    SpawnEngine, TransferEngine,
 };
 use gasnub_memsim::SimError;
 use gasnub_trace::{CounterSet, Event, Recorder};
@@ -99,7 +99,7 @@ pub struct TieredMachine {
     model: Arc<AnalyticModel>,
     tier: ProbeTier,
     /// Which path answered the most recent probe (reported through
-    /// [`ProbeOutcome`] and [`TieredMachine::last_path`]).
+    /// [`TieredMachine::last_path`]).
     last_path: ProbePath,
 }
 
@@ -246,22 +246,6 @@ impl Machine for TieredMachine {
     }
 }
 
-impl ProbeBackend for TieredMachine {
-    /// Honors the *request's* tier (the machine's own tier is only the
-    /// default for direct [`Machine`] calls) and reports which path
-    /// actually answered.
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError> {
-        let prev = self.tier;
-        self.tier = req.tier;
-        let answered = dispatch(self, req);
-        self.tier = prev;
-        Ok(ProbeOutcome {
-            measurement: answered.measurement,
-            path: self.last_path,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,19 +275,6 @@ mod tests {
         let v = m.local_load(2 << 10, 1);
         assert!(v.mb_s > 0.0);
         assert_eq!(m.last_path(), ProbePath::Analytic);
-    }
-
-    #[test]
-    fn requests_override_the_machine_tier() {
-        let spec = fast(MachineSpec::t3e());
-        let tiered = TieredSpec::new(spec, ProbeTier::Simulate).unwrap();
-        let mut m = tiered.spawn_engine().unwrap();
-        let req = ProbeRequest::new(ProbeOp::LocalLoad, 2 << 10, 1)
-            .with_limits(MeasureLimits::fast())
-            .with_tier(ProbeTier::Analytic);
-        let out = m.probe(&req).unwrap();
-        assert_eq!(out.path, ProbePath::Analytic);
-        assert_eq!(m.tier(), ProbeTier::Simulate, "machine default restored");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (and the `ablations` Criterion bench) can print the effect of the
 //! mechanism alone.
 
-use gasnub_machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub_machines::{ablation, Machine, MachineId, MachineSpec, MeasureLimits, TransferEngine};
 
 /// One ablation result.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,11 +28,13 @@ impl Ablation {
     }
 }
 
-fn limits() -> MeasureLimits {
-    MeasureLimits {
+fn engine(spec: MachineSpec) -> TransferEngine {
+    spec.with_limits(MeasureLimits {
         max_measure_words: 32 * 1024,
         max_prime_words: 2 * 1024 * 1024,
-    }
+    })
+    .build()
+    .expect("built-in specs build")
 }
 
 /// Runs every ablation study.
@@ -42,10 +44,8 @@ pub fn run_all() -> Vec<Ablation> {
 
     // T3E stream buffers (paper footnote 3: ~120 MB/s without streaming).
     {
-        let mut with = T3e::new();
-        with.set_limits(limits());
-        let mut without = T3e::new_without_streams();
-        without.set_limits(limits());
+        let mut with = engine(MachineSpec::t3e());
+        let mut without = engine(ablation::t3e_without_streams());
         out.push(Ablation {
             id: "t3e-streams-off",
             machine: MachineId::CrayT3e,
@@ -57,10 +57,8 @@ pub fn run_all() -> Vec<Ablation> {
 
     // T3D read-ahead logic (§3.2: "can be turned on/off at program load time").
     {
-        let mut with = T3d::new();
-        with.set_limits(limits());
-        let mut without = T3d::new_without_read_ahead();
-        without.set_limits(limits());
+        let mut with = engine(MachineSpec::t3d());
+        let mut without = engine(ablation::t3d_without_read_ahead());
         out.push(Ablation {
             id: "t3d-read-ahead-off",
             machine: MachineId::CrayT3d,
@@ -72,10 +70,8 @@ pub fn run_all() -> Vec<Ablation> {
 
     // T3D write-buffer coalescing (§3.2: coalesces into 32-byte entities).
     {
-        let mut with = T3d::new();
-        with.set_limits(limits());
-        let mut without = T3d::new_without_coalescing();
-        without.set_limits(limits());
+        let mut with = engine(MachineSpec::t3d());
+        let mut without = engine(ablation::t3d_without_coalescing());
         out.push(Ablation {
             id: "t3d-coalescing-off",
             machine: MachineId::CrayT3d,
@@ -87,10 +83,8 @@ pub fn run_all() -> Vec<Ablation> {
 
     // T3D prefetch FIFO vs blocking remote loads (§3.2).
     {
-        let mut with = T3d::new();
-        with.set_limits(limits());
-        let mut without = T3d::new_with_blocking_fetch();
-        without.set_limits(limits());
+        let mut with = engine(MachineSpec::t3d());
+        let mut without = engine(ablation::t3d_blocking_fetch());
         out.push(Ablation {
             id: "t3d-blocking-fetch",
             machine: MachineId::CrayT3d,
@@ -102,10 +96,8 @@ pub fn run_all() -> Vec<Ablation> {
 
     // T3D node-pair link sharing (footnote 1: 70 MB/s per PE when shared).
     {
-        let mut with = T3d::new();
-        with.set_limits(limits());
-        let mut without = T3d::new_with_paired_traffic();
-        without.set_limits(limits());
+        let mut with = engine(MachineSpec::t3d());
+        let mut without = engine(ablation::t3d_paired_traffic());
         out.push(Ablation {
             id: "t3d-paired-traffic",
             machine: MachineId::CrayT3d,
@@ -121,7 +113,11 @@ pub fn run_all() -> Vec<Ablation> {
     // sustains for back-to-back line transactions, which is what bounds the
     // four-processor transposes of figs 15-17.
     {
-        let bus_on = gasnub_machines::params::dec8400_smp().bus;
+        let bus_on = MachineSpec::dec8400()
+            .smp_config()
+            .expect("the 8400 is bus-based")
+            .bus
+            .clone();
         let mut bus_off = bus_on.clone();
         bus_off.burst = false;
         let line = 64;
@@ -137,8 +133,7 @@ pub fn run_all() -> Vec<Ablation> {
     // 8400 L3-blocked communication (§6.1/§9: blocked cache-to-cache
     // transfers beat DRAM-to-DRAM remote copies for strided data).
     {
-        let mut m = Dec8400::new();
-        m.set_limits(limits());
+        let mut m = engine(MachineSpec::dec8400());
         let blocked = m.remote_load(2 << 20, 16).expect("8400 pulls").mb_s;
         let unblocked = m.remote_load(32 << 20, 16).expect("8400 pulls").mb_s;
         out.push(Ablation {

@@ -11,8 +11,8 @@ use gasnub_core::{auto_threads, sweep_surface_par, Grid, SweepOp};
 use gasnub_fft::run_benchmark;
 use gasnub_machines::calibration::run_calibration;
 use gasnub_machines::{
-    dispatch, Dec8400, FaultPlan, Machine, MachineId, MachineSpec, MeasureLimits, ProbePath,
-    ProbeTier, SpawnEngine, T3d, T3e,
+    dispatch, FaultPlan, Machine, MachineId, MachineSpec, MeasureLimits, ProbePath, ProbeTier,
+    SpawnEngine,
 };
 
 fn human_ws(ws: u64) -> String {
@@ -45,14 +45,11 @@ fn main() {
         max_prime_words: 2 * 1024 * 1024,
     };
     for id in [MachineId::Dec8400, MachineId::CrayT3d, MachineId::CrayT3e] {
-        let mut machine: Box<dyn Machine> = match id {
-            MachineId::Dec8400 => Box::new(Dec8400::new()),
-            MachineId::CrayT3d => Box::new(T3d::new()),
-            MachineId::CrayT3e => Box::new(T3e::new()),
-            MachineId::Custom => unreachable!("only the paper's machines are calibrated"),
-        };
-        machine.set_limits(limits);
-        for (point, measured) in run_calibration(machine.as_mut()) {
+        let mut machine = MachineSpec::for_id(id)
+            .with_limits(limits)
+            .build()
+            .expect("built-in specs build");
+        for (point, measured) in run_calibration(&mut machine) {
             let delta = (measured - point.paper_mb_s) / point.paper_mb_s * 100.0;
             let ok = if point.accepts(measured) { "" } else { " ⚠" };
             println!(
@@ -158,20 +155,20 @@ fn main() {
         max_measure_words: 8 * 1024,
         max_prime_words: 64 * 1024,
     };
-    let pairs: Vec<(Box<dyn Machine>, Box<dyn Machine>)> = vec![
-        (
-            Box::new(T3d::new()),
-            Box::new(T3d::with_faults(&plan).expect("plan applies")),
-        ),
-        (
-            Box::new(T3e::new()),
-            Box::new(T3e::with_faults(&plan).expect("plan applies")),
-        ),
-        (
-            Box::new(Dec8400::new()),
-            Box::new(Dec8400::with_faults(&plan).expect("plan applies")),
-        ),
-    ];
+    let pairs = [
+        MachineSpec::t3d(),
+        MachineSpec::t3e(),
+        MachineSpec::dec8400(),
+    ]
+    .map(|spec| {
+        let degraded = spec.clone().with_faults(&plan).expect("plan applies");
+        let build = |s: MachineSpec| {
+            s.with_limits(fault_limits)
+                .build()
+                .expect("built-in specs build")
+        };
+        (build(spec), build(degraded))
+    });
     type RemoteProbe = fn(&mut dyn Machine, u64, u64) -> Option<f64>;
     let ops: [(&str, RemoteProbe); 3] = [
         ("pull", |m, ws, s| m.remote_load(ws, s).map(|r| r.mb_s)),
@@ -181,14 +178,12 @@ fn main() {
         }),
     ];
     for (mut healthy, mut degraded) in pairs {
-        healthy.set_limits(fault_limits);
-        degraded.set_limits(fault_limits);
         for (op, probe) in ops {
             for stride in [1u64, 8] {
                 let ws = 4 * 1024 * 1024;
                 let (Some(h), Some(d)) = (
-                    probe(healthy.as_mut(), ws, stride),
-                    probe(degraded.as_mut(), ws, stride),
+                    probe(&mut healthy, ws, stride),
+                    probe(&mut degraded, ws, stride),
                 ) else {
                     continue;
                 };
@@ -590,8 +585,7 @@ fn analytic_residuals(spec: &MachineSpec) -> (usize, f64, f64) {
                 if auto.last_path() != ProbePath::Analytic {
                     continue;
                 }
-                let (Some(a), Some(s)) = (a.measurement, dispatch(&mut sim, &req).measurement)
-                else {
+                let (Some(a), Some(s)) = (a, dispatch(&mut sim, &req)) else {
                     continue;
                 };
                 let err = if s.mb_s > 0.0 {

@@ -116,8 +116,7 @@ fn analytic_rate(spec: &MachineSpec, grid: &Grid) -> (f64, usize) {
     for &ws in &grid.working_sets {
         for &stride in &grid.strides {
             let req = SweepOp::LocalLoad.request(ws, stride);
-            if dispatch(&mut machine, &req).measurement.is_some()
-                && machine.last_path() == ProbePath::Analytic
+            if dispatch(&mut machine, &req).is_some() && machine.last_path() == ProbePath::Analytic
             {
                 trusted.push(req);
             }
@@ -132,7 +131,7 @@ fn analytic_rate(spec: &MachineSpec, grid: &Grid) -> (f64, usize) {
         let mut cells = 0u64;
         while start.elapsed().as_secs_f64() < 0.05 {
             for req in &trusted {
-                assert!(dispatch(&mut machine, req).measurement.is_some());
+                assert!(dispatch(&mut machine, req).is_some());
                 cells += 1;
             }
         }

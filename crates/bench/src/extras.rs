@@ -4,18 +4,20 @@
 use gasnub_core::bench::local_gather_curve;
 use gasnub_core::compare::Comparison;
 use gasnub_core::sweep::Grid;
-use gasnub_machines::{Dec8400, Machine, MeasureLimits, T3d, T3e};
+use gasnub_machines::{Machine, MachineId, MachineSpec, MeasureLimits};
 
 fn machines() -> Vec<Box<dyn Machine>> {
-    let mut v: Vec<Box<dyn Machine>> = vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ];
-    for m in &mut v {
-        m.set_limits(MeasureLimits::fast());
-    }
-    v
+    [MachineId::Dec8400, MachineId::CrayT3d, MachineId::CrayT3e]
+        .into_iter()
+        .map(|id| -> Box<dyn Machine> {
+            Box::new(
+                MachineSpec::for_id(id)
+                    .with_limits(MeasureLimits::fast())
+                    .build()
+                    .expect("built-in specs build"),
+            )
+        })
+        .collect()
 }
 
 /// The §9 cross-machine summary table.
@@ -112,7 +114,8 @@ pub fn t3e_fetch_rewrite(n: usize) -> String {
 
 /// The §1 false-sharing experiment on the 8400.
 pub fn false_sharing() -> String {
-    let mut smp = gasnub_coherence::smp::SnoopingSmp::new(gasnub_machines::params::dec8400_smp())
+    let config = MachineSpec::dec8400().smp_config().cloned();
+    let mut smp = gasnub_coherence::smp::SnoopingSmp::new(config.expect("the 8400 is bus-based"))
         .expect("built-in parameters validate");
     let shared = smp.alternating_store_cycles(500, 1);
     let private = smp.alternating_store_cycles(500, 8);

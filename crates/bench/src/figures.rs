@@ -6,7 +6,7 @@ use gasnub_core::bench::{
 use gasnub_core::surface::Surface;
 use gasnub_core::sweep::Grid;
 use gasnub_fft::run_benchmark;
-use gasnub_machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub_machines::{Machine, MachineId, MachineSpec, MeasureLimits};
 
 /// The rendered output of one figure: a terminal table and machine-readable
 /// CSV.
@@ -47,17 +47,11 @@ impl std::fmt::Debug for Figure {
 }
 
 fn machine(id: MachineId) -> Box<dyn Machine> {
-    let mut m: Box<dyn Machine> = match id {
-        MachineId::Dec8400 => Box::new(Dec8400::new()),
-        MachineId::CrayT3d => Box::new(T3d::new()),
-        MachineId::CrayT3e => Box::new(T3e::new()),
-        MachineId::Custom => unreachable!("figures cover only the paper's machines"),
-    };
-    m.set_limits(MeasureLimits {
+    let spec = MachineSpec::for_id(id).with_limits(MeasureLimits {
         max_measure_words: 32 * 1024,
         max_prime_words: 2 * 1024 * 1024,
     });
-    m
+    Box::new(spec.build().expect("built-in specs build"))
 }
 
 fn local_grid(quick: bool, max_ws: u64) -> Grid {

@@ -142,9 +142,8 @@ impl SweepOp {
     /// The [`ProbeRequest`] for one grid cell of this benchmark — the
     /// single place the grid's `stride` maps onto an operation's stride
     /// pair (strided-load copies stride the load side, strided-store
-    /// copies the store side). Tier and measurement caps are left at
-    /// their defaults; chain [`ProbeRequest::with_tier`] /
-    /// [`ProbeRequest::with_limits`] to set them.
+    /// copies the store side). The measurement caps are left at the
+    /// machine's; chain [`ProbeRequest::with_limits`] to set them.
     pub fn request(self, ws_bytes: u64, stride: u64) -> ProbeRequest {
         match self {
             SweepOp::CopyStridedStores => {
@@ -160,18 +159,7 @@ impl SweepOp {
     /// Measures one cell on `machine` through the unified probe API.
     /// `None` when the operation is unsupported there.
     pub fn measure(self, machine: &mut dyn Machine, ws_bytes: u64, stride: u64) -> Option<f64> {
-        dispatch(machine, &self.request(ws_bytes, stride)).mb_s()
-    }
-
-    /// Measures one cell on `machine`. `None` when the operation is
-    /// unsupported there.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `measure`, or build a `ProbeRequest` via `request` and hand it to a \
-                `ProbeBackend` / `gasnub_machines::dispatch`"
-    )]
-    pub fn probe(self, machine: &mut dyn Machine, ws_bytes: u64, stride: u64) -> Option<f64> {
-        self.measure(machine, ws_bytes, stride)
+        dispatch(machine, &self.request(ws_bytes, stride)).map(|m| m.mb_s)
     }
 }
 
@@ -320,16 +308,17 @@ pub fn local_gather_curve(machine: &mut dyn Machine, working_sets: &[u64]) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{Dec8400, MeasureLimits, T3d, T3e};
+    use gasnub_machines::{MachineSpec, MeasureLimits, TransferEngine};
 
-    fn fast<M: Machine>(mut m: M) -> M {
-        m.set_limits(MeasureLimits::fast());
-        m
+    fn fast(spec: MachineSpec) -> TransferEngine {
+        spec.with_limits(MeasureLimits::fast())
+            .build()
+            .expect("built-in specs build")
     }
 
     #[test]
     fn t3d_load_surface_has_two_plateaus() {
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let grid = Grid {
             strides: vec![1, 16],
             working_sets: vec![4 << 10, 4 << 20],
@@ -347,7 +336,7 @@ mod tests {
 
     #[test]
     fn dec8400_remote_surfaces() {
-        let mut m = fast(Dec8400::new());
+        let mut m = fast(MachineSpec::dec8400());
         let grid = Grid {
             strides: vec![1, 16],
             working_sets: vec![8 << 20],
@@ -362,7 +351,7 @@ mod tests {
 
     #[test]
     fn t3e_deposit_surface_shows_ripples() {
-        let mut m = fast(T3e::new());
+        let mut m = fast(MachineSpec::t3e());
         let grid = Grid {
             strides: vec![15, 16],
             working_sets: vec![4 << 20],
@@ -375,7 +364,7 @@ mod tests {
 
     #[test]
     fn copy_variants_differ_on_the_t3d() {
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let grid = Grid {
             strides: vec![16],
             working_sets: vec![4 << 20],
@@ -390,7 +379,7 @@ mod tests {
 
     #[test]
     fn gather_curve_falls_with_working_set() {
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let curve = local_gather_curve(&mut m, &[4 << 10, 4 << 20]);
         assert_eq!(curve.len(), 2);
         assert!(
@@ -402,7 +391,7 @@ mod tests {
     #[test]
     fn measured_surface_reveals_the_cache_sizes() {
         // Working-set spectroscopy on the simulated T3D finds its 8 KB L1.
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let grid = Grid {
             strides: vec![1],
             working_sets: vec![2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10],
@@ -418,7 +407,7 @@ mod tests {
 
     #[test]
     fn store_surface_runs() {
-        let mut m = fast(T3e::new());
+        let mut m = fast(MachineSpec::t3e());
         let grid = Grid {
             strides: vec![1],
             working_sets: vec![64 << 10],
@@ -443,7 +432,7 @@ mod tests {
             strides: vec![1, 8, 16],
             working_sets: vec![32 << 10, 4 << 20],
         };
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let sequential = remote_deposit_surface(&mut m, &grid).unwrap();
         let parallel = sweep_surface_par(&spec, SweepOp::RemoteDeposit, &grid, 4)
             .unwrap()
@@ -472,7 +461,7 @@ mod tests {
 
     #[test]
     fn parallel_sweep_titles_match_sequential_titles() {
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let name = m.name();
         let grid = Grid {
             strides: vec![1],

@@ -123,13 +123,13 @@ impl Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{Dec8400, MeasureLimits, T3d, T3e};
+    use gasnub_machines::{MachineSpec, MeasureLimits};
 
     fn comparison() -> Comparison {
         let mut machines: Vec<Box<dyn Machine>> = vec![
-            Box::new(Dec8400::new()),
-            Box::new(T3d::new()),
-            Box::new(T3e::new()),
+            Box::new(MachineSpec::dec8400().build().unwrap()),
+            Box::new(MachineSpec::t3d().build().unwrap()),
+            Box::new(MachineSpec::t3e().build().unwrap()),
         ];
         for m in &mut machines {
             m.set_limits(MeasureLimits::fast());

@@ -53,14 +53,16 @@
 //! ```rust
 //! use gasnub_core::sweep::Grid;
 //! use gasnub_core::bench::local_load_surface;
-//! use gasnub_machines::{Machine, MeasureLimits, T3d};
+//! use gasnub_machines::{MachineSpec, MeasureLimits};
 //!
-//! let mut t3d = T3d::new();
-//! t3d.set_limits(MeasureLimits::fast());
+//! let mut t3d = MachineSpec::t3d()
+//!     .with_limits(MeasureLimits::fast())
+//!     .build()?;
 //! let surface = local_load_surface(&mut t3d, &Grid::quick());
 //! // Contiguous DRAM access is far faster than strided on the T3D.
 //! let ws = 4 * 1024 * 1024;
 //! assert!(surface.value(ws, 1).unwrap() > 2.0 * surface.value(ws, 16).unwrap());
+//! # Ok::<(), gasnub_memsim::ConfigError>(())
 //! ```
 
 pub mod bench;

@@ -112,11 +112,11 @@ impl MachineProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{Dec8400, MeasureLimits, T3d};
+    use gasnub_machines::{MachineSpec, MeasureLimits};
 
     #[test]
     fn t3d_profile_has_both_remote_directions() {
-        let mut m = T3d::new();
+        let mut m = MachineSpec::t3d().build().unwrap();
         m.set_limits(MeasureLimits::fast());
         let grid = Grid {
             strides: vec![1, 16],
@@ -138,7 +138,7 @@ mod tests {
             strides: vec![1, 16],
             working_sets: vec![1 << 20],
         };
-        let mut m = gasnub_machines::T3e::new();
+        let mut m = MachineSpec::t3e().build().unwrap();
         m.set_limits(MeasureLimits::fast());
         let sequential = MachineProfile::measure(&mut m, &grid, &grid);
         let parallel = MachineProfile::measure_parallel(&spec, &grid, &grid, 4).unwrap();
@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn dec8400_profile_has_pull_only() {
-        let mut m = Dec8400::new();
+        let mut m = MachineSpec::dec8400().build().unwrap();
         m.set_limits(MeasureLimits::fast());
         let grid = Grid {
             strides: vec![1],

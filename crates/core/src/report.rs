@@ -117,13 +117,12 @@ pub fn machine_report(machine: &mut dyn Machine, options: &ReportOptions) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::custom::CustomMachineBuilder;
-    use gasnub_machines::{MeasureLimits, T3d};
+    use gasnub_machines::{MachineSpec, MeasureLimits};
     use gasnub_memsim::config::presets;
 
     #[test]
     fn t3d_report_contains_all_sections() {
-        let mut m = T3d::new();
+        let mut m = MachineSpec::t3d().build().unwrap();
         m.set_limits(MeasureLimits::fast());
         let report = machine_report(&mut m, &ReportOptions::quick());
         assert!(report.contains("# Memory system characterization — Cray T3D"));
@@ -143,8 +142,8 @@ mod tests {
 
     #[test]
     fn custom_machine_report_omits_remote_sections() {
-        let mut m = CustomMachineBuilder::new("toy", presets::tiny_test_node())
-            .limits(MeasureLimits::fast())
+        let mut m = MachineSpec::custom("toy", presets::tiny_test_node())
+            .with_limits(MeasureLimits::fast())
             .build()
             .unwrap();
         let report = machine_report(&mut m, &ReportOptions::quick());

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use gasnub_machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub_machines::{ablation, Machine, MachineId, MachineSpec, MeasureLimits, TransferEngine};
 use gasnub_memsim::WORD_BYTES;
 use gasnub_shmem::{TransferCost, TransferKind};
 
@@ -12,19 +12,14 @@ use crate::fft1d::fft_flops;
 /// Bytes per complex element (two 64-bit words).
 pub const COMPLEX_BYTES: u64 = 16;
 
-fn fast_machine(id: MachineId) -> Box<dyn Machine> {
-    let limits = MeasureLimits {
-        max_measure_words: 16 * 1024,
-        max_prime_words: 2 * 1024 * 1024,
-    };
-    let mut m: Box<dyn Machine> = match id {
-        MachineId::Dec8400 => Box::new(Dec8400::new()),
-        MachineId::CrayT3d => Box::new(T3d::new()),
-        MachineId::CrayT3e => Box::new(T3e::new()),
-        MachineId::Custom => panic!("FFT performance models exist only for the paper's machines"),
-    };
-    m.set_limits(limits);
-    m
+fn fast_machine(id: MachineId) -> TransferEngine {
+    MachineSpec::for_id(id)
+        .with_limits(MeasureLimits {
+            max_measure_words: 16 * 1024,
+            max_prime_words: 2 * 1024 * 1024,
+        })
+        .build()
+        .expect("built-in specs build")
 }
 
 /// Local 1D-FFT timing: the vendor-library flop rate bounded by the
@@ -43,7 +38,7 @@ pub struct ComputeModel {
     clock_mhz: f64,
     peak_mflops: f64,
     traffic_factor: f64,
-    machine: Box<dyn Machine>,
+    machine: TransferEngine,
     copy_bw_cache: HashMap<u64, f64>,
 }
 
@@ -134,7 +129,7 @@ impl ComputeModel {
 ///   (footnote 1), halving per-PE link bandwidth;
 /// * **Cray T3E** — "On the T3E there is no contention" (§6.2).
 pub struct FleetCost {
-    machine: Box<dyn Machine>,
+    machine: TransferEngine,
     npes: usize,
     overhead_per_call: f64,
     barrier: f64,
@@ -166,15 +161,18 @@ impl FleetCost {
             max_measure_words: 16 * 1024,
             max_prime_words: 256 * 1024,
         };
-        let (mut machine, aggregate_cap): (Box<dyn Machine>, bool) = match id {
-            MachineId::Dec8400 => (Box::new(Dec8400::new_contended()), true),
-            MachineId::CrayT3d => (Box::new(T3d::new_with_paired_traffic()), false),
-            MachineId::CrayT3e => (Box::new(T3e::new()), false),
+        let (spec, aggregate_cap) = match id {
+            MachineId::Dec8400 => (ablation::dec8400_contended(), true),
+            MachineId::CrayT3d => (ablation::t3d_paired_traffic(), false),
+            MachineId::CrayT3e => (MachineSpec::t3e(), false),
             MachineId::Custom => {
                 panic!("FFT performance models exist only for the paper's machines")
             }
         };
-        machine.set_limits(limits);
+        let mut machine = spec
+            .with_limits(limits)
+            .build()
+            .expect("built-in specs build");
         let cap = if aggregate_cap {
             // The bus-bound ceiling: the contiguous pull rate is as fast as
             // the shared path ever goes, regardless of how many PEs pull.

@@ -371,13 +371,16 @@ pub fn run_calibration(machine: &mut dyn Machine) -> Vec<(CalibrationPoint, f64)
 mod tests {
     use super::*;
     use crate::limits::MeasureLimits;
-    use crate::{Dec8400, T3d, T3e};
+    use crate::spec::MachineSpec;
 
-    fn check(machine: &mut dyn Machine) {
-        machine.set_limits(MeasureLimits {
-            max_measure_words: 16 * 1024,
-            max_prime_words: 2 * 1024 * 1024,
-        });
+    fn check(spec: MachineSpec) {
+        let machine = &mut spec
+            .with_limits(MeasureLimits {
+                max_measure_words: 16 * 1024,
+                max_prime_words: 2 * 1024 * 1024,
+            })
+            .build()
+            .unwrap();
         let mut failures = Vec::new();
         for (point, measured) in run_calibration(machine) {
             if !point.accepts(measured) {
@@ -399,17 +402,17 @@ mod tests {
 
     #[test]
     fn dec8400_calibration() {
-        check(&mut Dec8400::new());
+        check(MachineSpec::dec8400());
     }
 
     #[test]
     fn t3d_calibration() {
-        check(&mut T3d::new());
+        check(MachineSpec::t3d());
     }
 
     #[test]
     fn t3e_calibration() {
-        check(&mut T3e::new());
+        check(MachineSpec::t3e());
     }
 
     #[test]

@@ -1,32 +1,29 @@
-//! The shared transfer engine: one implementation of the paper's probes.
+//! The transfer engine: one implementation of the paper's probes.
 //!
-//! Historically each machine model (`dec8400.rs`, `t3d.rs`, `t3e.rs`,
-//! `custom.rs`) carried its own copy of the local load/store/copy/gather
-//! loops and its own fetch/deposit inner loop. [`TransferEngine`] collapses
-//! them: it owns *all* mutable simulation state for one run (memory
-//! hierarchy, NI pipelines, link occupancy, destination DRAM rows) and
-//! implements every probe once, parameterized by the backend an immutable
-//! [`crate::spec::MachineSpec`] describes. Engines are cheap to construct,
-//! `Send`, and independent — a parallel sweep builds one per grid cell.
+//! [`TransferEngine`] owns *all* mutable simulation state for one run
+//! (memory hierarchy, NI pipelines, link occupancy, destination DRAM rows)
+//! and implements every probe once, parameterized by the backend an
+//! immutable [`crate::spec::MachineSpec`] describes. Engines are cheap to
+//! construct, `Send`, and independent — a parallel sweep builds one per
+//! grid cell.
 
 use gasnub_coherence::smp::SnoopingSmp;
 use gasnub_interconnect::link::Link;
-use gasnub_interconnect::ni::{ERegisters, T3dNi};
-use gasnub_memsim::dram::Dram;
+use gasnub_interconnect::ni::{ERegisters, NiLossModel, T3dNi};
+use gasnub_memsim::dram::{Dram, DramConfig};
 use gasnub_memsim::engine::MemoryEngine;
 use gasnub_memsim::stats::RunStats;
 use gasnub_memsim::trace::{CopyPass, StorePass, StridedOrder, StridedPass};
 use gasnub_memsim::write_buffer::WriteBuffer;
-use gasnub_memsim::WORD_BYTES;
+use gasnub_memsim::{ConfigError, WORD_BYTES};
 use gasnub_trace::{CounterSet, Event, NullRecorder, Recorder};
 
 use crate::cancel::{CancelToken, Guarded};
 use crate::limits::MeasureLimits;
 use crate::machine::{Machine, MachineId, Measurement};
 use crate::memo::{self, MemoKey};
-use crate::params::{T3dRemoteParams, T3eRemoteParams};
-use crate::probe::{dispatch, ProbeBackend, ProbeOp, ProbeOutcome, ProbeRequest, Provenance};
-use gasnub_memsim::SimError;
+use crate::probe::ProbeOp;
+use crate::spec::{MachineSpec, SpecKind, T3dRemoteParams, T3eRemoteParams};
 
 /// Byte offset separating source and destination regions.
 pub(crate) const DST_REGION: u64 = 1 << 32;
@@ -54,7 +51,7 @@ enum Direction {
 
 /// Mutable state of the T3D remote path (fetch/deposit circuitry).
 #[derive(Debug)]
-pub(crate) struct T3dRemotePath {
+struct T3dRemotePath {
     params: T3dRemoteParams,
     ni: T3dNi,
     link: Link,
@@ -70,23 +67,18 @@ pub(crate) struct T3dRemotePath {
 }
 
 impl T3dRemotePath {
-    pub(crate) fn new(
-        params: T3dRemoteParams,
-        ni: T3dNi,
-        link: Link,
-        dest_write: WriteBuffer,
-        dest_dram: Dram,
-        remote_dram: Dram,
-    ) -> Self {
-        T3dRemotePath {
-            params,
-            ni,
-            link,
-            dest_write,
-            dest_dram,
+    /// Assembles the path; `remote_dram` is the source node's DRAM as the
+    /// fetch circuitry reads it.
+    fn new(params: T3dRemoteParams, remote_dram: &DramConfig) -> Result<Self, ConfigError> {
+        Ok(T3dRemotePath {
+            ni: T3dNi::new(params.ni.clone())?,
+            link: Link::new(params.link.clone())?,
+            dest_write: WriteBuffer::new(params.dest_write.clone())?,
+            dest_dram: Dram::new(params.dest_dram.clone())?,
             dest_busy_until: 0.0,
-            remote_dram,
-        }
+            remote_dram: Dram::new(remote_dram.clone())?,
+            params,
+        })
     }
 
     fn reset(&mut self) {
@@ -100,7 +92,7 @@ impl T3dRemotePath {
 
     /// Runs a deposit transfer: contiguous local loads feed strided remote
     /// stores, coalesced into packets by the write-back queue and injected
-    /// by the NI.
+    /// by the NI. Starts from the flushed state `run_probe` establishes.
     fn run_deposit(
         &mut self,
         engine: &mut MemoryEngine,
@@ -110,8 +102,6 @@ impl T3dRemotePath {
         stride: u64,
         cancel: Option<CancelToken>,
     ) -> Measurement {
-        engine.flush();
-        self.reset();
         let words = words_of(ws_bytes);
         let measured = limits.measure_words(words);
 
@@ -189,7 +179,8 @@ impl T3dRemotePath {
     }
 
     /// Runs a fetch transfer: strided remote loads through the prefetch
-    /// FIFO, contiguous local stores through the write-back queue.
+    /// FIFO, contiguous local stores through the write-back queue. Starts
+    /// from the flushed state `run_probe` establishes.
     fn run_fetch(
         &mut self,
         engine: &mut MemoryEngine,
@@ -199,8 +190,6 @@ impl T3dRemotePath {
         stride: u64,
         cancel: Option<CancelToken>,
     ) -> Measurement {
-        engine.flush();
-        self.reset();
         let words = words_of(ws_bytes);
         let measured = limits.measure_words(words);
         let cpu = engine.cpu().clone();
@@ -239,6 +228,15 @@ struct T3eRemotePath {
 }
 
 impl T3eRemotePath {
+    fn new(params: T3eRemoteParams) -> Result<Self, ConfigError> {
+        Ok(T3eRemotePath {
+            eregs: ERegisters::new(params.eregs.clone())?,
+            link: Link::new(params.link.clone())?,
+            dest_banks: Dram::new(params.dest_word_banks.clone())?,
+            params,
+        })
+    }
+
     fn reset(&mut self) {
         self.eregs.reset();
         self.link.reset();
@@ -247,11 +245,10 @@ impl T3eRemotePath {
 
     /// Runs one remote transfer of `words` words at `stride` through the
     /// E-registers in the given direction. Unit-stride data moves as
-    /// coalesced blocks; non-unit strides move single words.
-    #[allow(clippy::too_many_arguments)]
+    /// coalesced blocks; non-unit strides move single words. Starts from
+    /// the flushed state `run_probe` establishes.
     fn run_remote(
         &mut self,
-        engine: &mut MemoryEngine,
         limits: MeasureLimits,
         clock: f64,
         ws_bytes: u64,
@@ -259,8 +256,6 @@ impl T3eRemotePath {
         dir: Direction,
         cancel: Option<CancelToken>,
     ) -> Measurement {
-        engine.flush();
-        self.reset();
         let words = words_of(ws_bytes);
         let measured = limits.measure_words(words);
         let hops = self.params.hops;
@@ -328,8 +323,7 @@ enum Backend {
 /// A per-run transfer engine: all mutable state of one simulated machine.
 ///
 /// Built from a [`crate::spec::MachineSpec`]; implements every probe of the
-/// [`Machine`] trait exactly once. The machine wrapper types ([`crate::T3d`]
-/// etc.) are thin shells around one of these.
+/// [`Machine`] trait exactly once.
 #[derive(Debug)]
 pub struct TransferEngine {
     id: MachineId,
@@ -349,158 +343,78 @@ pub struct TransferEngine {
     /// Cooperative cancellation token consulted inside probe loops. `None`
     /// (the default) means probes run to completion.
     cancel: Option<CancelToken>,
-    /// Where this engine's results come from — the machine half of every
-    /// memo key (see [`crate::memo`]). Engines built outside
-    /// [`crate::spec::MachineSpec::build`] are [`Provenance::HandBuilt`]
-    /// and bypass memoization explicitly.
-    provenance: Provenance,
+    /// [`MachineSpec::spec_hash`] of the originating spec — the machine
+    /// half of every memo key (see [`crate::memo`]).
+    spec_hash: u64,
 }
 
 impl TransferEngine {
-    pub(crate) fn new_smp(
-        id: MachineId,
-        smp: SnoopingSmp,
-        gather_seed: u64,
-        limits: MeasureLimits,
-    ) -> Self {
-        let clock_mhz = smp.config().node.cpu.clock_mhz;
-        TransferEngine {
-            id,
-            label: id.label().to_string(),
-            display: id.to_string(),
-            clock_mhz,
-            gather_seed,
-            limits,
-            backend: Backend::Smp(smp),
-            recorder: Box::new(NullRecorder),
-            last_counters: None,
-            cancel: None,
-            provenance: Provenance::HandBuilt,
-        }
-    }
-
-    pub(crate) fn new_torus(
-        id: MachineId,
-        engine: MemoryEngine,
-        path: T3dRemotePath,
-        gather_seed: u64,
-        limits: MeasureLimits,
-    ) -> Self {
-        let clock_mhz = engine.cpu().clock_mhz;
-        TransferEngine {
-            id,
-            label: id.label().to_string(),
-            display: id.to_string(),
-            clock_mhz,
-            gather_seed,
-            limits,
-            backend: Backend::Node {
-                engine,
-                remote: RemotePath::T3d(Box::new(path)),
-            },
-            recorder: Box::new(NullRecorder),
-            last_counters: None,
-            cancel: None,
-            provenance: Provenance::HandBuilt,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_eregs(
-        id: MachineId,
-        engine: MemoryEngine,
-        params: T3eRemoteParams,
-        eregs: ERegisters,
-        link: Link,
-        dest_banks: Dram,
-        gather_seed: u64,
-        limits: MeasureLimits,
-    ) -> Self {
-        let clock_mhz = engine.cpu().clock_mhz;
-        TransferEngine {
-            id,
-            label: id.label().to_string(),
-            display: id.to_string(),
-            clock_mhz,
-            gather_seed,
-            limits,
-            backend: Backend::Node {
-                engine,
-                remote: RemotePath::T3e(Box::new(T3eRemotePath {
-                    params,
-                    eregs,
-                    link,
-                    dest_banks,
-                })),
-            },
-            recorder: Box::new(NullRecorder),
-            last_counters: None,
-            cancel: None,
-            provenance: Provenance::HandBuilt,
-        }
-    }
-
-    pub(crate) fn new_node(
-        id: MachineId,
-        engine: MemoryEngine,
-        gather_seed: u64,
-        limits: MeasureLimits,
-    ) -> Self {
-        let clock_mhz = engine.cpu().clock_mhz;
-        TransferEngine {
-            id,
-            label: id.label().to_string(),
-            display: id.to_string(),
-            clock_mhz,
-            gather_seed,
-            limits,
-            backend: Backend::Node {
-                engine,
+    /// Validates `spec`'s component descriptions and assembles a fresh
+    /// engine in the flushed (≡ just-constructed) state.
+    pub(crate) fn from_spec(spec: &MachineSpec) -> Result<Self, ConfigError> {
+        let ni_loss = |loss: &Option<_>| loss.clone().map(NiLossModel::new).transpose();
+        let backend = match spec.kind() {
+            SpecKind::Smp { smp, bus_jitter } => {
+                let mut system = SnoopingSmp::new(smp.clone())?;
+                if let Some(jitter) = bus_jitter {
+                    system.set_bus_jitter(Some(jitter.clone()))?;
+                }
+                Backend::Smp(system)
+            }
+            SpecKind::Torus {
+                node,
+                remote,
+                ni_loss: loss,
+            } => {
+                let mut path = T3dRemotePath::new(remote.clone(), &node.hierarchy.dram)?;
+                path.ni.set_loss_model(ni_loss(loss)?);
+                Backend::Node {
+                    engine: MemoryEngine::try_new(node.clone())?,
+                    remote: RemotePath::T3d(Box::new(path)),
+                }
+            }
+            SpecKind::Eregs {
+                node,
+                remote,
+                ni_loss: loss,
+            } => {
+                let mut path = T3eRemotePath::new(remote.clone())?;
+                path.eregs.set_loss_model(ni_loss(loss)?);
+                Backend::Node {
+                    engine: MemoryEngine::try_new(node.clone())?,
+                    remote: RemotePath::T3e(Box::new(path)),
+                }
+            }
+            SpecKind::Node { node } => Backend::Node {
+                engine: MemoryEngine::try_new(node.clone())?,
                 remote: RemotePath::None,
             },
+        };
+        Ok(TransferEngine {
+            id: spec.id(),
+            label: spec.label().to_string(),
+            display: spec.display_name(),
+            clock_mhz: spec.clock_mhz(),
+            gather_seed: spec.kind().gather_seed(),
+            limits: spec.limits(),
+            backend,
             recorder: Box::new(NullRecorder),
             last_counters: None,
             cancel: None,
-            provenance: Provenance::HandBuilt,
-        }
-    }
-
-    /// Installs the spec's identity: the registry label this engine reports
-    /// and its display name. For paper machines the display stays the
-    /// canonical machine name; for everything else the explicit `display`
-    /// (or the label) wins.
-    pub(crate) fn set_identity(&mut self, label: String, display: Option<String>) {
-        self.display = match (display, self.id) {
-            (Some(d), _) => d,
-            (None, MachineId::Custom) => label.clone(),
-            (None, id) => id.to_string(),
-        };
-        self.label = label;
-    }
-
-    /// Installs the identity hash of the originating spec, enabling the
-    /// probe memo (see [`crate::memo`]).
-    pub(crate) fn set_spec_hash(&mut self, hash: u64) {
-        self.provenance = Provenance::Spec(hash);
-    }
-
-    /// Where this engine's results come from: [`Provenance::Spec`] for
-    /// engines built through [`crate::spec::MachineSpec::build`] (which
-    /// memoize), [`Provenance::HandBuilt`] otherwise (which bypass).
-    pub fn provenance(&self) -> Provenance {
-        self.provenance
+            spec_hash: spec.spec_hash(),
+        })
     }
 
     /// The memo key for a probe about to run, or `None` when memoization
-    /// does not apply: hand-built provenance, an enabled recorder
-    /// (component counters and events must be recomputed), or the `--cold`
-    /// escape hatch ([`gasnub_memsim::cold_path`]).
+    /// does not apply: an enabled recorder (component counters and events
+    /// must be recomputed), or the `--cold` escape hatch
+    /// ([`gasnub_memsim::cold_path`]).
     fn memo_key(&self, op: ProbeOp, ws_bytes: u64, stride: u64, stride2: u64) -> Option<MemoKey> {
         if self.recorder.enabled() || gasnub_memsim::cold_path() {
             return None;
         }
         Some(MemoKey {
-            spec_hash: self.provenance.spec_hash()?,
+            spec_hash: self.spec_hash,
             op,
             ws_bytes,
             stride,
@@ -508,6 +422,42 @@ impl TransferEngine {
             max_measure_words: self.limits.max_measure_words,
             max_prime_words: self.limits.max_prime_words,
         })
+    }
+
+    /// The one probe prologue and epilogue: serves the cell from the memo
+    /// when it can, otherwise flushes all state, runs `simulate`, observes
+    /// the result and memoizes it — unsupported (`None`) outcomes included.
+    /// `simulate` returns the measured pass's [`RunStats`] when it has one
+    /// (see [`TransferEngine::harvest_counters`]).
+    fn run_probe(
+        &mut self,
+        op: ProbeOp,
+        ws_bytes: u64,
+        stride: u64,
+        stride2: u64,
+        simulate: impl FnOnce(&mut Self) -> Option<(Measurement, Option<RunStats>)>,
+    ) -> Option<Measurement> {
+        let key = self.memo_key(op, ws_bytes, stride, stride2);
+        if let Some(hit) = key.as_ref().and_then(memo::lookup) {
+            return hit;
+        }
+        self.flush_all();
+        let result = simulate(self).map(|(m, stats)| {
+            // Remote passes with stats are SMP consumer pulls.
+            self.observe(
+                op.label(),
+                ws_bytes,
+                stride,
+                &m,
+                stats.as_ref(),
+                op.is_remote(),
+            );
+            m
+        });
+        if let Some(k) = key {
+            memo::insert(k, result);
+        }
+        result
     }
 
     /// Whether an enabled recorder is installed, i.e. probe side effects
@@ -523,18 +473,6 @@ impl TransferEngine {
         match &self.backend {
             Backend::Smp(smp) => Some(smp),
             Backend::Node { .. } => None,
-        }
-    }
-
-    /// Applies a loss model to the backend's network interface (fault
-    /// plans); a no-op for backends without one.
-    pub(crate) fn set_ni_loss(&mut self, loss: gasnub_interconnect::ni::NiLossModel) {
-        if let Backend::Node { remote, .. } = &mut self.backend {
-            match remote {
-                RemotePath::T3d(path) => path.ni.set_loss_model(Some(loss)),
-                RemotePath::T3e(path) => path.eregs.set_loss_model(Some(loss)),
-                RemotePath::None => {}
-            }
         }
     }
 
@@ -681,240 +619,171 @@ impl Machine for TransferEngine {
     }
 
     fn local_load(&mut self, ws_bytes: u64, stride: u64) -> Measurement {
-        let key = self.memo_key(ProbeOp::LocalLoad, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(Some(m)) = memo::lookup(k) {
-                return m;
-            }
-        }
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let prime =
-            self.guard(StridedPass::new(0, words, stride).take(limits.prime_words(words) as usize));
-        let measured = limits.measure_words(words);
-        let measure = self.guard(StridedPass::new(0, words, stride).take(measured as usize));
-        let stats = self.mem().prime_and_measure(prime, measure);
-        let m = Measurement::new(stats.bytes, stats.cycles, clock);
-        self.observe("local_load", ws_bytes, stride, &m, Some(&stats), false);
-        if let Some(k) = key {
-            memo::insert(k, Some(m));
-        }
-        m
+        self.run_probe(ProbeOp::LocalLoad, ws_bytes, stride, 0, |e| {
+            let (limits, clock) = (e.limits, e.clock_mhz);
+            let words = words_of(ws_bytes);
+            let prime = e
+                .guard(StridedPass::new(0, words, stride).take(limits.prime_words(words) as usize));
+            let measured = limits.measure_words(words);
+            let measure = e.guard(StridedPass::new(0, words, stride).take(measured as usize));
+            let stats = e.mem().prime_and_measure(prime, measure);
+            Some((
+                Measurement::new(stats.bytes, stats.cycles, clock),
+                Some(stats),
+            ))
+        })
+        .expect("local probes are always supported")
     }
 
     fn local_store(&mut self, ws_bytes: u64, stride: u64) -> Measurement {
-        let key = self.memo_key(ProbeOp::LocalStore, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(Some(m)) = memo::lookup(k) {
-                return m;
-            }
-        }
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let prime =
-            self.guard(StorePass::new(0, words, stride).take(limits.prime_words(words) as usize));
-        let measured = limits.measure_words(words);
-        let measure = self.guard(StorePass::new(0, words, stride).take(measured as usize));
-        let stats = self.mem().prime_and_measure(prime, measure);
-        let m = Measurement::new(stats.bytes, stats.cycles, clock);
-        self.observe("local_store", ws_bytes, stride, &m, Some(&stats), false);
-        if let Some(k) = key {
-            memo::insert(k, Some(m));
-        }
-        m
+        self.run_probe(ProbeOp::LocalStore, ws_bytes, stride, 0, |e| {
+            let (limits, clock) = (e.limits, e.clock_mhz);
+            let words = words_of(ws_bytes);
+            let prime =
+                e.guard(StorePass::new(0, words, stride).take(limits.prime_words(words) as usize));
+            let measured = limits.measure_words(words);
+            let measure = e.guard(StorePass::new(0, words, stride).take(measured as usize));
+            let stats = e.mem().prime_and_measure(prime, measure);
+            Some((
+                Measurement::new(stats.bytes, stats.cycles, clock),
+                Some(stats),
+            ))
+        })
+        .expect("local probes are always supported")
     }
 
     fn local_copy(&mut self, ws_bytes: u64, load_stride: u64, store_stride: u64) -> Measurement {
-        let key = self.memo_key(ProbeOp::LocalCopy, ws_bytes, load_stride, store_stride);
-        if let Some(k) = &key {
-            if let Some(Some(m)) = memo::lookup(k) {
-                return m;
-            }
-        }
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let measured = limits.measure_words(words);
-        let prime = self.guard(
-            CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
-                .take(2 * limits.prime_words(words) as usize),
-        );
-        let measure = self.guard(
-            CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
-                .take(2 * measured as usize),
-        );
-        let stats = self.mem().prime_and_measure(prime, measure);
-        // Copied payload counts once.
-        let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
-        self.observe("local_copy", ws_bytes, load_stride, &m, Some(&stats), false);
-        if let Some(k) = key {
-            memo::insert(k, Some(m));
-        }
-        m
+        self.run_probe(
+            ProbeOp::LocalCopy,
+            ws_bytes,
+            load_stride,
+            store_stride,
+            |e| {
+                let (limits, clock) = (e.limits, e.clock_mhz);
+                let words = words_of(ws_bytes);
+                let measured = limits.measure_words(words);
+                let prime = e.guard(
+                    CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
+                        .take(2 * limits.prime_words(words) as usize),
+                );
+                let measure = e.guard(
+                    CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
+                        .take(2 * measured as usize),
+                );
+                let stats = e.mem().prime_and_measure(prime, measure);
+                // Copied payload counts once.
+                let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
+                Some((m, Some(stats)))
+            },
+        )
+        .expect("local probes are always supported")
     }
 
     fn local_gather(&mut self, ws_bytes: u64) -> Measurement {
-        let key = self.memo_key(ProbeOp::LocalGather, ws_bytes, 0, 0);
-        if let Some(k) = &key {
-            if let Some(Some(m)) = memo::lookup(k) {
-                return m;
-            }
-        }
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let measured = limits.measure_words(words);
-        let prime =
-            self.guard(StridedPass::new(0, words, 1).take(limits.prime_words(words) as usize));
-        let indices =
-            gasnub_memsim::trace::shuffled_indices(words, measured as usize, self.gather_seed);
-        let measure = self.guard(gasnub_memsim::trace::IndexedPass::new(0, indices));
-        let stats = self.mem().prime_and_measure(prime, measure);
-        let m = Measurement::new(stats.bytes, stats.cycles, clock);
-        self.observe("local_gather", ws_bytes, 0, &m, Some(&stats), false);
-        if let Some(k) = key {
-            memo::insert(k, Some(m));
-        }
-        m
+        self.run_probe(ProbeOp::LocalGather, ws_bytes, 0, 0, |e| {
+            let (limits, clock) = (e.limits, e.clock_mhz);
+            let words = words_of(ws_bytes);
+            let measured = limits.measure_words(words);
+            let prime =
+                e.guard(StridedPass::new(0, words, 1).take(limits.prime_words(words) as usize));
+            let indices =
+                gasnub_memsim::trace::shuffled_indices(words, measured as usize, e.gather_seed);
+            let measure = e.guard(gasnub_memsim::trace::IndexedPass::new(0, indices));
+            let stats = e.mem().prime_and_measure(prime, measure);
+            Some((
+                Measurement::new(stats.bytes, stats.cycles, clock),
+                Some(stats),
+            ))
+        })
+        .expect("local probes are always supported")
     }
 
     fn remote_load(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
-        let key = self.memo_key(ProbeOp::RemoteLoad, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(cached) = memo::lookup(k) {
-                return cached;
+        self.run_probe(ProbeOp::RemoteLoad, ws_bytes, stride, 0, |e| {
+            let (limits, clock) = (e.limits, e.clock_mhz);
+            let cancel = e.cancel.clone();
+            match &mut e.backend {
+                Backend::Smp(smp) => {
+                    let words = words_of(ws_bytes);
+                    // Producer (P1) writes the data; consumer (P0) pulls
+                    // after a synchronization point (§5.2).
+                    let produce =
+                        StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
+                    let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
+                    let measured = limits.measure_words(words);
+                    let pull = StridedPass::new(0, words, stride).take(measured as usize);
+                    let stats = smp.consumer_pull(0, Guarded::new(pull, cancel));
+                    Some((
+                        Measurement::new(stats.bytes, stats.cycles, clock),
+                        Some(stats),
+                    ))
+                }
+                // Pure remote loads without a local destination are not one
+                // of the paper's torus benchmarks (fig 4 measures
+                // shmem_iget transfers).
+                Backend::Node { .. } => None,
             }
-        }
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let cancel = self.cancel.clone();
-        let pulled = match &mut self.backend {
-            Backend::Smp(smp) => {
-                smp.flush();
-                let words = words_of(ws_bytes);
-                // Producer (P1) writes the data; consumer (P0) pulls after a
-                // synchronization point (§5.2).
-                let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
-                let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
-                let measured = limits.measure_words(words);
-                let pull = StridedPass::new(0, words, stride).take(measured as usize);
-                let stats = smp.consumer_pull(0, Guarded::new(pull, cancel));
-                let m = Measurement::new(stats.bytes, stats.cycles, clock);
-                Some((m, stats))
-            }
-            // Pure remote loads without a local destination are not one of
-            // the paper's torus benchmarks (fig 4 measures shmem_iget
-            // transfers).
-            Backend::Node { .. } => None,
-        };
-        let result = pulled.map(|(m, stats)| {
-            self.observe("remote_load", ws_bytes, stride, &m, Some(&stats), true);
-            m
-        });
-        if let Some(k) = key {
-            memo::insert(k, result);
-        }
-        result
+        })
     }
 
     fn remote_fetch(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
-        let key = self.memo_key(ProbeOp::RemoteFetch, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(cached) = memo::lookup(k) {
-                return cached;
+        self.run_probe(ProbeOp::RemoteFetch, ws_bytes, stride, 0, |e| {
+            let (limits, clock) = (e.limits, e.clock_mhz);
+            let cancel = e.cancel.clone();
+            match &mut e.backend {
+                Backend::Smp(smp) => {
+                    let words = words_of(ws_bytes);
+                    let produce =
+                        StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
+                    let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
+                    let measured = limits.measure_words(words);
+                    // Strided remote loads, contiguous local stores (fig 12).
+                    let copy =
+                        CopyPass::new(0, DST_REGION, words, stride, 1).take(2 * measured as usize);
+                    let stats = smp.consumer_pull(0, Guarded::new(copy, cancel));
+                    let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
+                    Some((m, Some(stats)))
+                }
+                Backend::Node { engine, remote } => match remote {
+                    RemotePath::None => None,
+                    RemotePath::T3d(path) => Some((
+                        path.run_fetch(engine, limits, clock, ws_bytes, stride, cancel),
+                        None,
+                    )),
+                    RemotePath::T3e(path) => Some((
+                        path.run_remote(limits, clock, ws_bytes, stride, Direction::Fetch, cancel),
+                        None,
+                    )),
+                },
             }
-        }
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let cancel = self.cancel.clone();
-        let fetched = match &mut self.backend {
-            Backend::Smp(smp) => {
-                smp.flush();
-                let words = words_of(ws_bytes);
-                let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
-                let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
-                let measured = limits.measure_words(words);
-                // Strided remote loads, contiguous local stores (fig 12).
-                let copy =
-                    CopyPass::new(0, DST_REGION, words, stride, 1).take(2 * measured as usize);
-                let stats = smp.consumer_pull(0, Guarded::new(copy, cancel));
-                let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
-                Some((m, Some(stats)))
-            }
-            Backend::Node { engine, remote } => match remote {
-                RemotePath::None => None,
-                RemotePath::T3d(path) => Some((
-                    path.run_fetch(engine, limits, clock, ws_bytes, stride, cancel),
-                    None,
-                )),
-                RemotePath::T3e(path) => Some((
-                    path.run_remote(
-                        engine,
+        })
+    }
+
+    fn remote_deposit(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
+        self.run_probe(ProbeOp::RemoteDeposit, ws_bytes, stride, 0, |e| {
+            let (limits, clock) = (e.limits, e.clock_mhz);
+            let cancel = e.cancel.clone();
+            let m = match &mut e.backend {
+                // "The DEC 8400 does not have support for pushing data into
+                // memory or caches of a remote processor." (§5.2)
+                Backend::Smp(_) => None,
+                Backend::Node { engine, remote } => match remote {
+                    RemotePath::None => None,
+                    RemotePath::T3d(path) => {
+                        Some(path.run_deposit(engine, limits, clock, ws_bytes, stride, cancel))
+                    }
+                    RemotePath::T3e(path) => Some(path.run_remote(
                         limits,
                         clock,
                         ws_bytes,
                         stride,
-                        Direction::Fetch,
+                        Direction::Deposit,
                         cancel,
-                    ),
-                    None,
-                )),
-            },
-        };
-        let result = fetched.map(|(m, stats)| {
-            let pull_provenance = stats.is_some();
-            self.observe(
-                "remote_fetch",
-                ws_bytes,
-                stride,
-                &m,
-                stats.as_ref(),
-                pull_provenance,
-            );
-            m
-        });
-        if let Some(k) = key {
-            memo::insert(k, result);
-        }
-        result
-    }
-
-    fn remote_deposit(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
-        let key = self.memo_key(ProbeOp::RemoteDeposit, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(cached) = memo::lookup(k) {
-                return cached;
-            }
-        }
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let cancel = self.cancel.clone();
-        let deposited = match &mut self.backend {
-            // "The DEC 8400 does not have support for pushing data into
-            // memory or caches of a remote processor." (§5.2)
-            Backend::Smp(_) => None,
-            Backend::Node { engine, remote } => match remote {
-                RemotePath::None => None,
-                RemotePath::T3d(path) => {
-                    Some(path.run_deposit(engine, limits, clock, ws_bytes, stride, cancel))
-                }
-                RemotePath::T3e(path) => Some(path.run_remote(
-                    engine,
-                    limits,
-                    clock,
-                    ws_bytes,
-                    stride,
-                    Direction::Deposit,
-                    cancel,
-                )),
-            },
-        };
-        if let Some(m) = &deposited {
-            self.observe("remote_deposit", ws_bytes, stride, m, None, false);
-        }
-        if let Some(k) = key {
-            memo::insert(k, deposited);
-        }
-        deposited
+                    )),
+                },
+            };
+            m.map(|m| (m, None))
+        })
     }
 
     fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
@@ -934,117 +803,6 @@ impl Machine for TransferEngine {
         self.cancel = Some(token);
     }
 }
-
-impl ProbeBackend for TransferEngine {
-    /// Full-simulation backend: every request runs through the per-op
-    /// probes (which consult the memo internally under this engine's
-    /// [`Provenance`]). The request's tier is ignored — an engine without
-    /// an analytic model has only one tier to offer.
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError> {
-        Ok(dispatch(self, req))
-    }
-}
-
-/// Implements [`Machine`] for a wrapper struct whose `engine` field is a
-/// [`TransferEngine`]. The historical machine types (`Dec8400`, `T3d`,
-/// `T3e`, `CustomMachine`) are such shells: they keep their calibrated
-/// constructors and ablations but own no probe logic of their own.
-macro_rules! delegate_machine {
-    ($ty:ty) => {
-        impl $crate::machine::Machine for $ty {
-            fn id(&self) -> $crate::machine::MachineId {
-                $crate::machine::Machine::id(&self.engine)
-            }
-
-            fn name(&self) -> String {
-                $crate::machine::Machine::name(&self.engine)
-            }
-
-            fn label(&self) -> String {
-                $crate::machine::Machine::label(&self.engine)
-            }
-
-            fn clock_mhz(&self) -> f64 {
-                $crate::machine::Machine::clock_mhz(&self.engine)
-            }
-
-            fn limits(&self) -> $crate::limits::MeasureLimits {
-                $crate::machine::Machine::limits(&self.engine)
-            }
-
-            fn set_limits(&mut self, limits: $crate::limits::MeasureLimits) {
-                $crate::machine::Machine::set_limits(&mut self.engine, limits);
-            }
-
-            fn local_load(&mut self, ws_bytes: u64, stride: u64) -> $crate::machine::Measurement {
-                $crate::machine::Machine::local_load(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn local_store(&mut self, ws_bytes: u64, stride: u64) -> $crate::machine::Measurement {
-                $crate::machine::Machine::local_store(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn local_copy(
-                &mut self,
-                ws_bytes: u64,
-                load_stride: u64,
-                store_stride: u64,
-            ) -> $crate::machine::Measurement {
-                $crate::machine::Machine::local_copy(
-                    &mut self.engine,
-                    ws_bytes,
-                    load_stride,
-                    store_stride,
-                )
-            }
-
-            fn local_gather(&mut self, ws_bytes: u64) -> $crate::machine::Measurement {
-                $crate::machine::Machine::local_gather(&mut self.engine, ws_bytes)
-            }
-
-            fn remote_load(
-                &mut self,
-                ws_bytes: u64,
-                stride: u64,
-            ) -> Option<$crate::machine::Measurement> {
-                $crate::machine::Machine::remote_load(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn remote_fetch(
-                &mut self,
-                ws_bytes: u64,
-                stride: u64,
-            ) -> Option<$crate::machine::Measurement> {
-                $crate::machine::Machine::remote_fetch(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn remote_deposit(
-                &mut self,
-                ws_bytes: u64,
-                stride: u64,
-            ) -> Option<$crate::machine::Measurement> {
-                $crate::machine::Machine::remote_deposit(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn set_recorder(&mut self, recorder: Box<dyn gasnub_trace::Recorder>) {
-                $crate::machine::Machine::set_recorder(&mut self.engine, recorder);
-            }
-
-            fn take_counters(&mut self) -> Option<gasnub_trace::CounterSet> {
-                $crate::machine::Machine::take_counters(&mut self.engine)
-            }
-
-            fn drain_events(&mut self) -> Vec<gasnub_trace::Event> {
-                $crate::machine::Machine::drain_events(&mut self.engine)
-            }
-
-            fn set_cancel_token(&mut self, token: $crate::cancel::CancelToken) {
-                $crate::machine::Machine::set_cancel_token(&mut self.engine, token);
-            }
-        }
-    };
-}
-pub(crate) use delegate_machine;
 
 #[cfg(test)]
 mod tests {

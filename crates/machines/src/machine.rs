@@ -14,7 +14,7 @@ pub enum MachineId {
     CrayT3d,
     /// Cray T3E (300 MHz EV-5 PEs, E-registers, stream buffers).
     CrayT3e,
-    /// A user-defined machine (see [`crate::custom::CustomMachine`]).
+    /// Any other machine: zoo specs and [`crate::MachineSpec::custom`] nodes.
     Custom,
 }
 
@@ -27,26 +27,6 @@ impl MachineId {
             MachineId::CrayT3e => "t3e",
             MachineId::Custom => "custom",
         }
-    }
-
-    /// Parses a label (as produced by [`MachineId::label`]) or a common
-    /// alias back into an id. Returns `None` for unknown names.
-    pub fn from_label(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "dec8400" | "8400" | "alphaserver" => Some(MachineId::Dec8400),
-            "t3d" | "crayt3d" | "cray-t3d" => Some(MachineId::CrayT3d),
-            "t3e" | "crayt3e" | "cray-t3e" => Some(MachineId::CrayT3e),
-            "custom" => Some(MachineId::Custom),
-            _ => None,
-        }
-    }
-}
-
-impl std::str::FromStr for MachineId {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        MachineId::from_label(s).ok_or_else(|| format!("unknown machine '{s}'"))
     }
 }
 

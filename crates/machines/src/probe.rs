@@ -1,36 +1,17 @@
-//! The unified probe API: one request type, one entry point, one answer.
+//! The probe vocabulary: operations, tiers, requests and paths.
 //!
-//! Historically every layer picked its probe path through a different
-//! mechanism: callers chose among seven per-op [`Machine`] methods, the
-//! warm path was selected by handing a [`crate::WarmState`] to the sweep
-//! loop, memoization switched off through a hand-built engine's missing
-//! spec hash, and the `--cold` escape hatch was a process global. This
-//! module collapses that tier selection into data:
-//!
-//! * a [`ProbeRequest`] names the operation, the grid cell, the measurement
-//!   caps and the requested [`ProbeTier`];
-//! * a [`ProbeBackend`] answers requests through a single
-//!   `probe(&ProbeRequest)` entry point — implemented by the simulator
-//!   engine ([`crate::TransferEngine`]), the warm wrapper
-//!   ([`WarmBackend`]), the probe memo ([`Memoized`]), and the analytic
-//!   fast path (`gasnub-analytic`'s tiered machine);
-//! * a [`ProbeOutcome`] carries the measurement plus which path produced
-//!   it, so tiered dispatch is observable instead of implicit.
-//!
-//! The per-op [`Machine`] methods remain as the backend SPI (every backend
-//! ultimately implements them), and [`dispatch`] is the one place that maps
-//! a request onto them.
-
-use gasnub_memsim::SimError;
+//! A [`ProbeRequest`] names the operation, the grid cell and the
+//! measurement caps of one probe; [`dispatch`] is the one place that maps
+//! a request onto a [`Machine`]'s per-op methods. [`ProbeTier`] is the
+//! execution tier a caller asks for (`--tier`), and [`ProbePath`] records
+//! which path answered (the analytic crate's tiered machine reports it
+//! through its `last_path`).
 
 use crate::limits::MeasureLimits;
 use crate::machine::{Machine, Measurement};
-use crate::memo::{self, MemoKey};
-use crate::spec::SpawnEngine;
-use crate::warm::WarmState;
 
-/// Which probe an outcome answers. Also the operation half of every memo
-/// key (see [`crate::memo`]).
+/// Which probe a request runs. Also the operation half of every memo key
+/// (see [`crate::memo`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeOp {
     /// [`Machine::local_load`] — strided Load-Sum.
@@ -109,35 +90,8 @@ impl ProbeTier {
     }
 }
 
-/// Where a probe backend's results come from — the machine half of every
-/// memo key.
-///
-/// Engines built from a [`crate::MachineSpec`] (including every
-/// registry-resolved zoo machine) carry the spec's identity hash and
-/// memoize; engines assembled by hand carry no description a key could
-/// name, so the memo is bypassed *explicitly* here rather than through the
-/// old missing-hash special case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Provenance {
-    /// Built from a spec with this [`crate::MachineSpec::spec_hash`].
-    Spec(u64),
-    /// Assembled outside `MachineSpec::build` (test scaffolding, ad-hoc
-    /// wrappers); results have no stable identity to memoize under.
-    HandBuilt,
-}
-
-impl Provenance {
-    /// The spec hash, when the backend has one.
-    pub fn spec_hash(self) -> Option<u64> {
-        match self {
-            Provenance::Spec(hash) => Some(hash),
-            Provenance::HandBuilt => None,
-        }
-    }
-}
-
-/// One probe, fully described: the operation, the grid cell, the
-/// measurement caps and the execution tier.
+/// One probe, fully described: the operation, the grid cell and the
+/// measurement caps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeRequest {
     /// The operation to measure.
@@ -151,16 +105,13 @@ pub struct ProbeRequest {
     /// elsewhere).
     pub stride2: u64,
     /// Measurement caps to install before probing; `None` keeps the
-    /// backend's current caps.
+    /// machine's current caps.
     pub limits: Option<MeasureLimits>,
-    /// The execution tier. Backends without an analytic model treat every
-    /// tier as [`ProbeTier::Simulate`].
-    pub tier: ProbeTier,
 }
 
 impl ProbeRequest {
-    /// A request for `op` at `(ws_bytes, stride)` with default tier
-    /// ([`ProbeTier::Simulate`]) and the backend's current caps.
+    /// A request for `op` at `(ws_bytes, stride)` with the machine's
+    /// current caps.
     pub fn new(op: ProbeOp, ws_bytes: u64, stride: u64) -> Self {
         ProbeRequest {
             op,
@@ -168,7 +119,6 @@ impl ProbeRequest {
             stride,
             stride2: if op == ProbeOp::LocalCopy { 1 } else { 0 },
             limits: None,
-            tier: ProbeTier::Simulate,
         }
     }
 
@@ -185,32 +135,6 @@ impl ProbeRequest {
         self.limits = Some(limits);
         self
     }
-
-    /// Sets the execution tier.
-    #[must_use]
-    pub fn with_tier(mut self, tier: ProbeTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// The memo key of this request for a backend of the given provenance,
-    /// or `None` when the result must not be memoized: a hand-built
-    /// backend, unresolved measurement caps, or the `--cold` escape hatch.
-    pub(crate) fn memo_key(&self, provenance: Provenance) -> Option<MemoKey> {
-        if gasnub_memsim::cold_path() {
-            return None;
-        }
-        let limits = self.limits?;
-        Some(MemoKey {
-            spec_hash: provenance.spec_hash()?,
-            op: self.op,
-            ws_bytes: self.ws_bytes,
-            stride: self.stride,
-            stride2: self.stride2,
-            max_measure_words: limits.max_measure_words,
-            max_prime_words: limits.max_prime_words,
-        })
-    }
 }
 
 /// Which path answered a request.
@@ -222,67 +146,18 @@ pub enum ProbePath {
     Simulated,
 }
 
-/// The answer to one [`ProbeRequest`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeOutcome {
-    /// The measurement; `None` when the machine does not support the
-    /// operation (deterministic — support depends on the machine and the
-    /// op, never on the cell).
-    pub measurement: Option<Measurement>,
-    /// Which path produced it.
-    pub path: ProbePath,
-}
-
-impl ProbeOutcome {
-    /// A simulator-produced outcome.
-    pub fn simulated(measurement: Option<Measurement>) -> Self {
-        ProbeOutcome {
-            measurement,
-            path: ProbePath::Simulated,
-        }
-    }
-
-    /// An analytically produced outcome.
-    pub fn analytic(measurement: Option<Measurement>) -> Self {
-        ProbeOutcome {
-            measurement,
-            path: ProbePath::Analytic,
-        }
-    }
-
-    /// The measured bandwidth, `None` when the op is unsupported.
-    pub fn mb_s(&self) -> Option<f64> {
-        self.measurement.map(|m| m.mb_s)
-    }
-}
-
-/// One probe entry point for every backend.
-///
-/// Implementations: [`crate::TransferEngine`] (full simulation),
-/// [`WarmBackend`] (simulation on a reused engine), [`Memoized`]
-/// (memo-fronted delegation keyed by [`Provenance`]), and the analytic
-/// crate's tiered machine (closed-form fast path with simulation
-/// fallback).
-pub trait ProbeBackend {
-    /// Answers one request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the backend cannot assemble an engine for
-    /// the request (spawn failures on lazy backends).
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError>;
-}
-
 /// Maps a request onto a [`Machine`]'s per-op probe methods — the single
 /// place the request/SPI translation lives. Installs the request's
-/// measurement caps first (when it carries any).
-pub fn dispatch<M: Machine + ?Sized>(machine: &mut M, req: &ProbeRequest) -> ProbeOutcome {
+/// measurement caps first (when it carries any). `None` when the machine
+/// does not support the operation (deterministic — support depends on the
+/// machine and the op, never on the cell).
+pub fn dispatch<M: Machine + ?Sized>(machine: &mut M, req: &ProbeRequest) -> Option<Measurement> {
     if let Some(limits) = req.limits {
         if machine.limits() != limits {
             machine.set_limits(limits);
         }
     }
-    let measurement = match req.op {
+    match req.op {
         ProbeOp::LocalLoad => Some(machine.local_load(req.ws_bytes, req.stride)),
         ProbeOp::LocalStore => Some(machine.local_store(req.ws_bytes, req.stride)),
         ProbeOp::LocalCopy => {
@@ -292,84 +167,13 @@ pub fn dispatch<M: Machine + ?Sized>(machine: &mut M, req: &ProbeRequest) -> Pro
         ProbeOp::RemoteLoad => machine.remote_load(req.ws_bytes, req.stride),
         ProbeOp::RemoteFetch => machine.remote_fetch(req.ws_bytes, req.stride),
         ProbeOp::RemoteDeposit => machine.remote_deposit(req.ws_bytes, req.stride),
-    };
-    ProbeOutcome::simulated(measurement)
-}
-
-/// The warm execution path as a backend: one lazily spawned engine, reused
-/// across requests (see [`crate::warm`] for the state-validity rules).
-#[derive(Debug)]
-pub struct WarmBackend<'a, S: SpawnEngine> {
-    spawner: &'a S,
-    warm: WarmState<S::Engine>,
-}
-
-impl<'a, S: SpawnEngine> WarmBackend<'a, S> {
-    /// A cold backend bound to `spawner`; the first probe spawns.
-    pub fn new(spawner: &'a S) -> Self {
-        WarmBackend {
-            spawner,
-            warm: WarmState::new(),
-        }
-    }
-
-    /// Discards the held engine after a state-incompatible transition (an
-    /// unwound probe).
-    pub fn reset(&mut self) {
-        self.warm.reset();
-    }
-}
-
-impl<S: SpawnEngine> ProbeBackend for WarmBackend<'_, S> {
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError> {
-        Ok(dispatch(self.warm.engine(self.spawner)?, req))
-    }
-}
-
-/// The probe memo as a backend: serves repeat requests from the per-process
-/// table, delegates misses, and keys everything off an explicit
-/// [`Provenance`] — so registry-resolved zoo machines memoize while
-/// hand-built scaffolding deterministically bypasses.
-#[derive(Debug)]
-pub struct Memoized<B> {
-    inner: B,
-    provenance: Provenance,
-}
-
-impl<B: ProbeBackend> Memoized<B> {
-    /// Fronts `inner` with the memo under `provenance`. The inner backend
-    /// must be a pure simulation path (memoized analytic answers would
-    /// conflate the tiers).
-    pub fn new(inner: B, provenance: Provenance) -> Self {
-        Memoized { inner, provenance }
-    }
-
-    /// The provenance the memo keys off.
-    pub fn provenance(&self) -> Provenance {
-        self.provenance
-    }
-}
-
-impl<B: ProbeBackend> ProbeBackend for Memoized<B> {
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError> {
-        let key = req.memo_key(self.provenance);
-        if let Some(k) = &key {
-            if let Some(hit) = memo::lookup(k) {
-                return Ok(ProbeOutcome::simulated(hit));
-            }
-        }
-        let outcome = self.inner.probe(req)?;
-        if let Some(k) = key {
-            memo::insert(k, outcome.measurement);
-        }
-        Ok(outcome)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::MachineSpec;
+    use crate::spec::{MachineSpec, SpawnEngine};
 
     #[test]
     fn tier_labels_round_trip() {
@@ -386,11 +190,10 @@ mod tests {
         let mut a = spec.spawn_engine().unwrap();
         let mut b = spec.spawn_engine().unwrap();
         let req = ProbeRequest::new(ProbeOp::LocalLoad, 64 << 10, 8);
-        let via_request = a.probe(&req).unwrap();
+        let via_request = dispatch(&mut a, &req);
         let direct = b.local_load(64 << 10, 8);
-        assert_eq!(via_request.path, ProbePath::Simulated);
         assert_eq!(
-            via_request.measurement.unwrap().cycles.to_bits(),
+            via_request.unwrap().cycles.to_bits(),
             direct.cycles.to_bits()
         );
     }
@@ -401,7 +204,7 @@ mod tests {
         let mut engine = spec.spawn_engine().unwrap();
         let req =
             ProbeRequest::new(ProbeOp::LocalStore, 32 << 10, 2).with_limits(MeasureLimits::fast());
-        let _ = engine.probe(&req).unwrap();
+        let _ = dispatch(&mut engine, &req);
         assert_eq!(engine.limits(), MeasureLimits::fast());
     }
 
@@ -411,53 +214,8 @@ mod tests {
         let mut via = spec.spawn_engine().unwrap();
         let mut direct = spec.spawn_engine().unwrap();
         let req = ProbeRequest::new(ProbeOp::LocalCopy, 1 << 20, 1).with_stride2(16);
-        let a = via.probe(&req).unwrap().measurement.unwrap();
+        let a = dispatch(&mut via, &req).unwrap();
         let b = direct.local_copy(1 << 20, 1, 16);
         assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
-    }
-
-    #[test]
-    fn warm_backend_reuses_one_engine() {
-        let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
-        let mut warm = WarmBackend::new(&spec);
-        let req = ProbeRequest::new(ProbeOp::LocalLoad, 16 << 10, 2);
-        let a = warm.probe(&req).unwrap();
-        let b = warm.probe(&req).unwrap();
-        assert_eq!(
-            a.measurement.unwrap().cycles.to_bits(),
-            b.measurement.unwrap().cycles.to_bits()
-        );
-    }
-
-    #[test]
-    fn memoized_backend_serves_repeats_from_the_table() {
-        let _guard = memo::TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let spec = MachineSpec::t3e().with_limits(MeasureLimits::fast());
-        let provenance = Provenance::Spec(spec.spec_hash());
-        let mut backend = Memoized::new(WarmBackend::new(&spec), provenance);
-        // An off-grid cell no other test probes.
-        let req =
-            ProbeRequest::new(ProbeOp::LocalLoad, 96 << 10, 5).with_limits(MeasureLimits::fast());
-        let first = backend.probe(&req).unwrap();
-        let (hits0, _) = memo::stats();
-        let second = backend.probe(&req).unwrap();
-        let (hits1, _) = memo::stats();
-        assert!(hits1 > hits0, "repeat must be a memo hit");
-        assert_eq!(
-            first.measurement.unwrap().cycles.to_bits(),
-            second.measurement.unwrap().cycles.to_bits()
-        );
-    }
-
-    #[test]
-    fn hand_built_provenance_bypasses_the_memo() {
-        let req =
-            ProbeRequest::new(ProbeOp::LocalLoad, 1 << 20, 1).with_limits(MeasureLimits::fast());
-        assert!(req.memo_key(Provenance::HandBuilt).is_none());
-        assert!(req.memo_key(Provenance::Spec(42)).is_some());
-        // Requests without resolved caps never memoize either: the result
-        // would depend on backend state the key cannot see.
-        let uncapped = ProbeRequest::new(ProbeOp::LocalLoad, 1 << 20, 1);
-        assert!(uncapped.memo_key(Provenance::Spec(42)).is_none());
     }
 }

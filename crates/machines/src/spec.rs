@@ -9,30 +9,74 @@
 //! the sweep layer (`gasnub-core`) can hand every grid cell its own engine.
 //!
 //! Machine *identity* is data, not code: a spec is defined by a spec file
-//! (see [`crate::specfile`] for the dialect) and the built-in machines are
-//! embedded spec files parsed through the same loader. The
-//! [`MachineId`] enum survives only as a *model-family tag* — a handful of
-//! consumers (shmem call overheads, FFT scalability models, figure
-//! renderers) model the three paper machines specifically and key off it;
-//! everything else identifies a machine by its [`MachineSpec::label`] and
-//! [`MachineSpec::spec_hash`].
+//! (see [`crate::specfile`] for the dialect), and the paper machines
+//! ([`MachineSpec::dec8400`], [`MachineSpec::t3d`], [`MachineSpec::t3e`])
+//! are embedded zoo files parsed through the same loader. The file is the
+//! only place a machine's parameters are written down; the paper's
+//! ablations ([`crate::ablation`]) start from the loaded spec and edit it.
+//! The [`MachineId`] enum survives only as a *model-family tag* — a
+//! handful of consumers (shmem call overheads, FFT scalability models,
+//! figure renderers) model the three paper machines specifically and key
+//! off it; everything else identifies a machine by its
+//! [`MachineSpec::label`] and [`MachineSpec::spec_hash`].
 
-use gasnub_coherence::smp::{SmpConfig, SnoopingSmp};
+use gasnub_coherence::smp::SmpConfig;
 use gasnub_faults::FaultPlan;
 use gasnub_interconnect::bus::BusJitterConfig;
-use gasnub_interconnect::link::Link;
-use gasnub_interconnect::ni::{ERegisters, NiLossConfig, NiLossModel, T3dNi};
+use gasnub_interconnect::link::LinkConfig;
+use gasnub_interconnect::ni::{ERegistersConfig, NiLossConfig, T3dNiConfig};
 use gasnub_memsim::config::NodeConfig;
-use gasnub_memsim::dram::Dram;
-use gasnub_memsim::engine::MemoryEngine;
-use gasnub_memsim::write_buffer::WriteBuffer;
+use gasnub_memsim::dram::DramConfig;
+use gasnub_memsim::write_buffer::WriteBufferConfig;
 use gasnub_memsim::{ConfigError, SimError};
 
-use crate::engine::{T3dRemotePath, TransferEngine};
+use crate::engine::TransferEngine;
 use crate::limits::MeasureLimits;
 use crate::machine::{Machine, MachineId};
-use crate::params::{T3dRemoteParams, T3eRemoteParams};
 use crate::specfile::{self, SpecError};
+
+/// Remote-path parameters of a `torus` spec: the T3D's fetch/deposit
+/// circuitry.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct T3dRemoteParams {
+    /// Network interface (packet costs, prefetch FIFO, node-pair sharing).
+    pub ni: T3dNiConfig,
+    /// Torus link (CPU cycles; 0.5 cycles/byte = 300 MB/s at 150 MHz).
+    pub link: LinkConfig,
+    /// Extra wire bytes per packet (the T3D sends address + data).
+    pub header_bytes: u64,
+    /// Destination-side write path (same coalescing write queue shape the
+    /// deposit circuitry drives). `drain_cycles_per_entry` is unused — the
+    /// actual service time comes from `dest_dram`'s row state.
+    pub dest_write: WriteBufferConfig,
+    /// Destination DRAM as driven by the deposit circuitry: page-mode
+    /// writes are fast, but large-stride deposits reopen a row per word.
+    pub dest_dram: DramConfig,
+    /// Hops between the benchmark's source and destination PEs.
+    pub hops: u32,
+}
+
+/// Remote-path parameters of an `eregs` spec: the T3E's E-registers and
+/// faster torus.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct T3eRemoteParams {
+    /// The E-register block.
+    pub eregs: ERegistersConfig,
+    /// Torus link (0.25 cycles/byte = 1.2 GB/s at 300 MHz).
+    pub link: LinkConfig,
+    /// Cycles per coalesced block transfer (contiguous puts/gets).
+    pub block_cycles: f64,
+    /// Block size the E-register gather/scatter uses for unit-stride data.
+    pub block_bytes: u64,
+    /// Extra per-word cycles for non-unit-stride (single-word) operations.
+    pub strided_word_extra_cycles: f64,
+    /// Destination memory as seen by incoming single-word puts:
+    /// word-interleaved banks whose busy windows produce the even-stride
+    /// ripples of Fig. 8 ("the same bank is hit in consecutive receives").
+    pub dest_word_banks: DramConfig,
+    /// Hops between source and destination PEs.
+    pub hops: u32,
+}
 
 /// The model family of a spec, plus its full parameterization.
 ///
@@ -67,7 +111,7 @@ impl SpecKind {
     /// The deterministic seed for the gather probe's index permutation.
     /// Keyed by model family so a zoo-loaded paper machine shuffles
     /// identically to its built-in twin.
-    fn gather_seed(&self) -> u64 {
+    pub(crate) fn gather_seed(&self) -> u64 {
         match self {
             SpecKind::Smp { .. } => 0x8400,
             SpecKind::Torus { .. } => 0x73d,
@@ -80,10 +124,9 @@ impl SpecKind {
 /// An immutable, thread-shareable machine description.
 ///
 /// Construction is free of validation — errors surface when
-/// [`MachineSpec::build`] assembles the engine, mirroring the builder
-/// pattern of [`crate::custom::CustomMachineBuilder`]. Specs loaded from
-/// files ([`MachineSpec::from_spec_str`]) *are* validated at load time,
-/// because a file's errors should point at the file.
+/// [`MachineSpec::build`] assembles the engine. Specs loaded from files
+/// ([`MachineSpec::from_spec_str`]) *are* validated at load time, because
+/// a file's errors should point at the file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// Model-family tag; `Custom` for everything but the paper machines.
@@ -135,75 +178,31 @@ fn builtin(label: &str) -> MachineSpec {
 }
 
 impl MachineSpec {
-    /// The paper's four-processor DEC 8400.
+    /// The paper's four-processor DEC AlphaServer 8400 (§3.1): 300 MHz
+    /// 21164s with 8 KB L1, 96 KB L2 and a 4 MB board-level L3 on a
+    /// coherent bus. Remote transfers are coherent consumer *pulls*,
+    /// supplied cache-to-cache or by home memory; there is no deposit.
     pub fn dec8400() -> Self {
         builtin("dec8400")
     }
 
-    /// A DEC 8400 variant from an explicit SMP configuration.
-    pub fn dec8400_with(smp: SmpConfig) -> Self {
-        MachineSpec {
-            id: MachineId::Dec8400,
-            label: "dec8400".to_string(),
-            display: None,
-            aliases: Vec::new(),
-            summary: String::new(),
-            calibration_tolerance: None,
-            kind: SpecKind::Smp {
-                smp,
-                bus_jitter: None,
-            },
-            limits: MeasureLimits::new(),
-        }
-    }
-
-    /// The paper's Cray T3D PE.
+    /// The paper's Cray T3D PE (§3.2): a 150 MHz 21064 with only an 8 KB
+    /// L1, external read-ahead logic, a coalescing write-back queue, and
+    /// fetch/deposit circuitry on a 3D torus.
     pub fn t3d() -> Self {
         builtin("t3d")
     }
 
-    /// A T3D variant from explicit node and remote-path parameters.
-    pub fn t3d_with(node: NodeConfig, remote: T3dRemoteParams) -> Self {
-        MachineSpec {
-            id: MachineId::CrayT3d,
-            label: "t3d".to_string(),
-            display: None,
-            aliases: Vec::new(),
-            summary: String::new(),
-            calibration_tolerance: None,
-            kind: SpecKind::Torus {
-                node,
-                remote,
-                ni_loss: None,
-            },
-            limits: MeasureLimits::new(),
-        }
-    }
-
-    /// The paper's Cray T3E PE.
+    /// The paper's Cray T3E PE (§3.3): a 300 MHz 21164 (L1/L2 on chip, no
+    /// L3) with six stream buffers and 512 E-registers, through which
+    /// fetch and deposit are symmetric.
     pub fn t3e() -> Self {
         builtin("t3e")
     }
 
-    /// A T3E variant from explicit node and remote-path parameters.
-    pub fn t3e_with(node: NodeConfig, remote: T3eRemoteParams) -> Self {
-        MachineSpec {
-            id: MachineId::CrayT3e,
-            label: "t3e".to_string(),
-            display: None,
-            aliases: Vec::new(),
-            summary: String::new(),
-            calibration_tolerance: None,
-            kind: SpecKind::Eregs {
-                node,
-                remote,
-                ni_loss: None,
-            },
-            limits: MeasureLimits::new(),
-        }
-    }
-
-    /// A user-described single-node machine (local probes only).
+    /// A user-described single-node machine (local probes only): the
+    /// paper's methodology applied to any node design. Remote probes
+    /// return `None`.
     pub fn custom(name: impl Into<String>, node: NodeConfig) -> Self {
         MachineSpec {
             id: MachineId::Custom,
@@ -358,6 +357,15 @@ impl MachineSpec {
         }
     }
 
+    /// The full SMP description (bus, coherence protocol, home memory) of
+    /// a bus-based spec; `None` for every other model family.
+    pub fn smp_config(&self) -> Option<&SmpConfig> {
+        match &self.kind {
+            SpecKind::Smp { smp, .. } => Some(smp),
+            _ => None,
+        }
+    }
+
     /// The model family name ("smp", "torus", "eregs", "node").
     pub fn model_family(&self) -> &'static str {
         match &self.kind {
@@ -370,6 +378,11 @@ impl MachineSpec {
 
     pub(crate) fn kind(&self) -> &SpecKind {
         &self.kind
+    }
+
+    /// Mutable parameters, for the ablations that edit a loaded spec.
+    pub(crate) fn kind_mut(&mut self) -> &mut SpecKind {
+        &mut self.kind
     }
 
     /// Replaces the measurement caps every spawned engine starts with.
@@ -434,61 +447,7 @@ impl MachineSpec {
     ///
     /// Returns [`ConfigError`] when any component description is invalid.
     pub fn build(self) -> Result<TransferEngine, ConfigError> {
-        let spec_hash = self.spec_hash();
-        let limits = self.limits;
-        let seed = self.kind.gather_seed();
-        let (id, label, display) = (self.id, self.label, self.display);
-        let mut built = match self.kind {
-            SpecKind::Smp { smp, bus_jitter } => {
-                let mut system = SnoopingSmp::new(smp)?;
-                if let Some(jitter) = bus_jitter {
-                    system.set_bus_jitter(Some(jitter))?;
-                }
-                TransferEngine::new_smp(id, system, seed, limits)
-            }
-            SpecKind::Torus {
-                node,
-                remote,
-                ni_loss,
-            } => {
-                let engine = MemoryEngine::try_new(node.clone())?;
-                let ni = T3dNi::new(remote.ni.clone())?;
-                let link = Link::new(remote.link.clone())?;
-                let dest_write = WriteBuffer::new(remote.dest_write.clone())?;
-                let dest_dram = Dram::new(remote.dest_dram.clone())?;
-                let remote_dram = Dram::new(node.hierarchy.dram.clone())?;
-                let path = T3dRemotePath::new(remote, ni, link, dest_write, dest_dram, remote_dram);
-                let mut built = TransferEngine::new_torus(id, engine, path, seed, limits);
-                if let Some(loss) = ni_loss {
-                    built.set_ni_loss(NiLossModel::new(loss)?);
-                }
-                built
-            }
-            SpecKind::Eregs {
-                node,
-                remote,
-                ni_loss,
-            } => {
-                let engine = MemoryEngine::try_new(node)?;
-                let eregs = ERegisters::new(remote.eregs.clone())?;
-                let link = Link::new(remote.link.clone())?;
-                let dest_banks = Dram::new(remote.dest_word_banks.clone())?;
-                let mut built = TransferEngine::new_eregs(
-                    id, engine, remote, eregs, link, dest_banks, seed, limits,
-                );
-                if let Some(loss) = ni_loss {
-                    built.set_ni_loss(NiLossModel::new(loss)?);
-                }
-                built
-            }
-            SpecKind::Node { node } => {
-                let engine = MemoryEngine::try_new(node)?;
-                TransferEngine::new_node(id, engine, seed, limits)
-            }
-        };
-        built.set_identity(label, display);
-        built.set_spec_hash(spec_hash);
-        Ok(built)
+        TransferEngine::from_spec(&self)
     }
 }
 
@@ -515,7 +474,7 @@ impl SpawnEngine for MachineSpec {
     type Engine = TransferEngine;
 
     fn spawn_engine(&self) -> Result<TransferEngine, SimError> {
-        Ok(self.clone().build()?)
+        Ok(TransferEngine::from_spec(self)?)
     }
 }
 
@@ -536,7 +495,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params;
 
     #[test]
     fn spec_is_send_sync_and_clone() {
@@ -562,33 +520,23 @@ mod tests {
     }
 
     #[test]
-    fn builtin_specs_match_the_parameter_tables() {
-        // The embedded spec files are the same machines the parameter
-        // tables describe — the files are the single source of truth, and
-        // this pins them to the paper's §3 numbers.
-        assert_eq!(
-            *MachineSpec::dec8400().kind(),
-            SpecKind::Smp {
-                smp: params::dec8400_smp(),
-                bus_jitter: None
-            }
-        );
-        assert_eq!(
-            *MachineSpec::t3d().kind(),
-            SpecKind::Torus {
-                node: params::t3d_node(),
-                remote: params::t3d_remote(),
-                ni_loss: None
-            }
-        );
-        assert_eq!(
-            *MachineSpec::t3e().kind(),
-            SpecKind::Eregs {
-                node: params::t3e_node(),
-                remote: params::t3e_remote(),
-                ni_loss: None
-            }
-        );
+    fn builtin_spec_hashes_are_pinned() {
+        // The embedded zoo files are the only source of the paper
+        // machines' parameters. Any edit that changes a decoded value
+        // changes the canonical rendering and therefore the hash, so it
+        // fails here and has to be made on purpose.
+        let pinned = [
+            (MachineSpec::dec8400(), 0x42ba_7dba_cdf4_561c_u64),
+            (MachineSpec::t3d(), 0x983a_669e_808b_0b2f),
+            (MachineSpec::t3e(), 0x6821_90e1_4a56_ac52),
+            (
+                MachineSpec::for_id(MachineId::Custom),
+                0x852c_290d_6b5a_b5b9,
+            ),
+        ];
+        for (spec, hash) in pinned {
+            assert_eq!(spec.spec_hash(), hash, "{} spec hash moved", spec.label());
+        }
     }
 
     #[test]
@@ -603,17 +551,27 @@ mod tests {
     }
 
     #[test]
-    fn spawned_engines_match_probes_of_wrapper_machines() {
-        use crate::{Machine, T3d};
+    fn smp_config_only_on_bus_specs() {
+        let smp = MachineSpec::dec8400();
+        assert_eq!(smp.smp_config().map(|c| &c.node), Some(smp.node_config()));
+        assert!(MachineSpec::t3d().smp_config().is_none());
+        assert!(MachineSpec::for_id(MachineId::Custom)
+            .smp_config()
+            .is_none());
+    }
+
+    #[test]
+    fn spawned_engines_match_built_engines() {
         let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
         let mut spawned = spec.spawn_engine().unwrap();
-        let mut wrapper = T3d::new();
-        wrapper.set_limits(MeasureLimits::fast());
+        let mut built = spec.build().unwrap();
+        assert_eq!(spawned.name(), "Cray T3D (150 MHz)");
+        assert_eq!(built.name(), spawned.name());
         let a = spawned.remote_deposit(1 << 20, 16).unwrap();
-        let b = wrapper.remote_deposit(1 << 20, 16).unwrap();
+        let b = built.remote_deposit(1 << 20, 16).unwrap();
         assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
         let a = spawned.local_load(1 << 20, 2);
-        let b = wrapper.local_load(1 << 20, 2);
+        let b = built.local_load(1 << 20, 2);
         assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
     }
 
@@ -676,10 +634,100 @@ mod tests {
             s.spawn_engine().unwrap().id()
         }
         let spawner = || {
-            let mut m = crate::T3e::new();
-            m.set_limits(MeasureLimits::fast());
-            m
+            MachineSpec::t3e()
+                .with_limits(MeasureLimits::fast())
+                .build()
+                .unwrap()
         };
         assert_eq!(takes_spawner(&spawner), MachineId::CrayT3e);
+    }
+
+    // The paper's §3 geometry, read from the loaded zoo files.
+
+    fn remotes() -> (T3dRemoteParams, T3eRemoteParams) {
+        let SpecKind::Torus { remote: t3d, .. } = MachineSpec::t3d().kind().clone() else {
+            panic!("the t3d is a torus machine");
+        };
+        let SpecKind::Eregs { remote: t3e, .. } = MachineSpec::t3e().kind().clone() else {
+            panic!("the t3e is an eregs machine");
+        };
+        (t3d, t3e)
+    }
+
+    #[test]
+    fn all_node_configs_validate() {
+        for spec in [
+            MachineSpec::dec8400(),
+            MachineSpec::t3d(),
+            MachineSpec::t3e(),
+        ] {
+            spec.node_config().validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn smp_config_validates() {
+        MachineSpec::dec8400()
+            .smp_config()
+            .unwrap()
+            .validate()
+            .unwrap();
+    }
+
+    #[test]
+    fn remote_params_validate() {
+        let (t3d, t3e) = remotes();
+        t3d.ni.validate().unwrap();
+        t3d.link.validate().unwrap();
+        t3d.dest_write.validate().unwrap();
+        t3e.eregs.validate().unwrap();
+        t3e.link.validate().unwrap();
+        t3e.dest_word_banks.validate().unwrap();
+    }
+
+    #[test]
+    fn clock_rates_match_paper() {
+        assert_eq!(MachineSpec::dec8400().clock_mhz(), 300.0);
+        assert_eq!(MachineSpec::t3d().clock_mhz(), 150.0);
+        assert_eq!(MachineSpec::t3e().clock_mhz(), 300.0);
+    }
+
+    #[test]
+    fn cache_geometry_matches_paper() {
+        const KB: u64 = 1024;
+        const MB: u64 = 1024 * KB;
+        let dec = MachineSpec::dec8400();
+        let n = dec.node_config();
+        assert_eq!(n.hierarchy.levels[0].cache.capacity_bytes, 8 * KB);
+        assert_eq!(n.hierarchy.levels[1].cache.capacity_bytes, 96 * KB);
+        assert_eq!(n.hierarchy.levels[1].cache.associativity, 3);
+        assert_eq!(n.hierarchy.levels[2].cache.capacity_bytes, 4 * MB);
+        let t3d = MachineSpec::t3d();
+        assert_eq!(
+            t3d.node_config().hierarchy.levels.len(),
+            1,
+            "the T3D has only an on-chip L1"
+        );
+        let t3e = MachineSpec::t3e();
+        let e = t3e.node_config();
+        assert_eq!(e.hierarchy.levels.len(), 2, "the T3E has no L3");
+        assert_eq!(e.hierarchy.dram_stream.as_ref().unwrap().slots, 6);
+    }
+
+    #[test]
+    fn bus_peak_is_2_4_gb_s() {
+        let bus = MachineSpec::dec8400().smp_config().unwrap().bus.clone();
+        assert!((bus.peak_mb_s() - 2400.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn t3d_link_is_300_mb_s() {
+        let link = remotes().0.link;
+        assert!((link.bandwidth_mb_s(150.0) - 300.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn eregister_count_is_512() {
+        assert_eq!(remotes().1.eregs.count, 512);
     }
 }

@@ -1,31 +1,8 @@
-//! Configuration types behave as value types: cloneable, comparable, and
-//! (for the enums users store in results files) label round-trippable.
+//! Configuration types behave as value types: cloneable and comparable.
 
 use gasnub_machines::calibration::calibration_table;
-use gasnub_machines::machine::{MachineId, Measurement};
-use gasnub_machines::params;
-
-#[test]
-fn machine_id_round_trips_through_labels() {
-    for id in [
-        MachineId::Dec8400,
-        MachineId::CrayT3d,
-        MachineId::CrayT3e,
-        MachineId::Custom,
-    ] {
-        let label = id.label();
-        let back = MachineId::from_label(label).expect("labels parse back");
-        assert_eq!(back, id, "round trip through '{label}'");
-        let parsed: MachineId = label.parse().expect("FromStr agrees with from_label");
-        assert_eq!(parsed, id);
-    }
-}
-
-#[test]
-fn unknown_machine_id_is_rejected() {
-    assert_eq!(MachineId::from_label("Paragon"), None);
-    assert!("Paragon".parse::<MachineId>().is_err());
-}
+use gasnub_machines::machine::Measurement;
+use gasnub_machines::MachineSpec;
 
 #[test]
 fn measurement_is_a_value_type() {
@@ -37,15 +14,17 @@ fn measurement_is_a_value_type() {
 
 #[test]
 fn configs_are_cloneable_and_stable() {
-    let node = params::t3e_node();
+    let t3e = MachineSpec::t3e();
+    let node = t3e.node_config();
     assert_eq!(
         node,
-        node.clone(),
+        &node.clone(),
         "machine descriptions must be value types"
     );
-    assert_eq!(params::dec8400_smp(), params::dec8400_smp().clone());
-    assert_eq!(params::t3d_remote(), params::t3d_remote().clone());
-    assert_eq!(params::t3e_remote(), params::t3e_remote().clone());
+    let smp = MachineSpec::dec8400().smp_config().cloned().unwrap();
+    assert_eq!(smp, smp.clone());
+    assert_eq!(MachineSpec::t3d(), MachineSpec::t3d().clone());
+    assert_eq!(t3e, t3e.clone());
 }
 
 #[test]

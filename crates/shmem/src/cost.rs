@@ -259,7 +259,7 @@ impl TransferCost for MeasuredCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{Dec8400, T3d, T3e};
+    use gasnub_machines::MachineSpec;
 
     #[test]
     fn uniform_cost_is_linear() {
@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn measured_cost_caches_probes() {
-        let mut c = MeasuredCost::new(Box::new(T3e::new()));
+        let mut c = MeasuredCost::new(Box::new(MachineSpec::t3e().build().unwrap()));
         let first = c.call_cycles(TransferKind::Deposit, 1000, 1);
         let second = c.call_cycles(TransferKind::Deposit, 1000, 1);
         assert_eq!(first, second);
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn t3e_contiguous_call_tracks_350_mb_s() {
-        let mut c = MeasuredCost::new(Box::new(T3e::new()));
+        let mut c = MeasuredCost::new(Box::new(MachineSpec::t3e().build().unwrap()));
         let cycles = c.call_cycles(TransferKind::Deposit, 100_000, 1);
         let mb_s = 100_000.0 * 8.0 * c.clock_mhz() / cycles;
         assert!((mb_s - 350.0).abs() / 350.0 < 0.2, "got {mb_s}");
@@ -287,7 +287,7 @@ mod tests {
 
     #[test]
     fn t3d_deposit_cheaper_than_fetch() {
-        let mut c = MeasuredCost::new(Box::new(T3d::new()));
+        let mut c = MeasuredCost::new(Box::new(MachineSpec::t3d().build().unwrap()));
         let dep = c.call_cycles(TransferKind::Deposit, 10_000, 1);
         let fetch = c.call_cycles(TransferKind::Fetch, 10_000, 1);
         assert!(dep * 2.0 < fetch, "deposit {dep} vs fetch {fetch}");
@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn dec8400_deposit_falls_back_to_pull() {
-        let mut c = MeasuredCost::new(Box::new(Dec8400::new()));
+        let mut c = MeasuredCost::new(Box::new(MachineSpec::dec8400().build().unwrap()));
         let dep = c.call_cycles(TransferKind::Deposit, 10_000, 1);
         let fetch = c.call_cycles(TransferKind::Fetch, 10_000, 1);
         let ratio = dep / fetch;
@@ -319,14 +319,14 @@ mod tests {
 
     #[test]
     fn zero_element_calls_are_free() {
-        let mut c = MeasuredCost::new(Box::new(T3e::new()));
+        let mut c = MeasuredCost::new(Box::new(MachineSpec::t3e().build().unwrap()));
         assert_eq!(c.call_cycles(TransferKind::Fetch, 0, 1), 0.0);
     }
 
     #[test]
     fn from_spec_prices_like_a_hand_built_machine() {
         let mut from_spec = MeasuredCost::from_spec(&MachineSpec::t3d()).unwrap();
-        let mut direct = MeasuredCost::new(Box::new(T3d::new()));
+        let mut direct = MeasuredCost::new(Box::new(MachineSpec::t3d().build().unwrap()));
         assert_eq!(
             from_spec.call_cycles(TransferKind::Deposit, 1000, 1),
             direct.call_cycles(TransferKind::Deposit, 1000, 1)
@@ -341,9 +341,9 @@ mod tests {
 
     #[test]
     fn try_new_validates_remote_support() {
-        assert!(MeasuredCost::try_new(Box::new(T3d::new())).is_ok());
+        assert!(MeasuredCost::try_new(Box::new(MachineSpec::t3d().build().unwrap())).is_ok());
         // A local-only machine is rejected up front...
-        let node = gasnub_machines::CustomMachineBuilder::new(
+        let node = gasnub_machines::MachineSpec::custom(
             "local-only",
             gasnub_memsim::config::presets::tiny_test_node(),
         )
@@ -352,7 +352,7 @@ mod tests {
         let err = MeasuredCost::try_new(Box::new(node)).unwrap_err();
         assert!(err.to_string().contains("neither"), "{err}");
         // ...while the panic-free pricing path charges it infinite cycles.
-        let node = gasnub_machines::CustomMachineBuilder::new(
+        let node = gasnub_machines::MachineSpec::custom(
             "local-only",
             gasnub_memsim::config::presets::tiny_test_node(),
         )

@@ -5,10 +5,15 @@
 //! cargo run --release --example ablations
 //! ```
 
-use gasnub::machines::{Dec8400, Machine, MeasureLimits, T3d, T3e};
+use gasnub::machines::{ablation, Machine, MachineSpec, MeasureLimits, TransferEngine};
+
+fn build(spec: MachineSpec) -> TransferEngine {
+    spec.with_limits(MeasureLimits::fast())
+        .build()
+        .expect("built-in specs build")
+}
 
 fn main() {
-    let limits = MeasureLimits::fast();
     let ws = 8 << 20;
 
     println!(
@@ -27,10 +32,8 @@ fn main() {
     };
 
     {
-        let mut a = T3e::new();
-        a.set_limits(limits);
-        let mut b = T3e::new_without_streams();
-        b.set_limits(limits);
+        let mut a = build(MachineSpec::t3e());
+        let mut b = build(ablation::t3e_without_streams());
         row(
             "T3E stream buffers (contiguous DRAM loads)",
             a.local_load(ws, 1).mb_s,
@@ -38,10 +41,8 @@ fn main() {
         );
     }
     {
-        let mut a = T3d::new();
-        a.set_limits(limits);
-        let mut b = T3d::new_without_read_ahead();
-        b.set_limits(limits);
+        let mut a = build(MachineSpec::t3d());
+        let mut b = build(ablation::t3d_without_read_ahead());
         row(
             "T3D read-ahead logic (contiguous DRAM loads)",
             a.local_load(ws, 1).mb_s,
@@ -49,10 +50,8 @@ fn main() {
         );
     }
     {
-        let mut a = T3d::new();
-        a.set_limits(limits);
-        let mut b = T3d::new_without_coalescing();
-        b.set_limits(limits);
+        let mut a = build(MachineSpec::t3d());
+        let mut b = build(ablation::t3d_without_coalescing());
         row(
             "T3D WBQ coalescing (contiguous deposits)",
             a.remote_deposit(ws, 1).unwrap().mb_s,
@@ -60,10 +59,8 @@ fn main() {
         );
     }
     {
-        let mut a = T3d::new();
-        a.set_limits(limits);
-        let mut b = T3d::new_with_blocking_fetch();
-        b.set_limits(limits);
+        let mut a = build(MachineSpec::t3d());
+        let mut b = build(ablation::t3d_blocking_fetch());
         row(
             "T3D prefetch FIFO (contiguous fetches)",
             a.remote_fetch(ws, 1).unwrap().mb_s,
@@ -71,8 +68,7 @@ fn main() {
         );
     }
     {
-        let mut a = Dec8400::new();
-        a.set_limits(limits);
+        let mut a = build(MachineSpec::dec8400());
         row(
             "8400 L3 blocking (strided pulls, 2 MB vs 32 MB)",
             a.remote_load(2 << 20, 16).unwrap().mb_s,

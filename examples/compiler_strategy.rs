@@ -10,23 +10,29 @@
 //! ```
 
 use gasnub::core::cost::{CostModel, Strategy};
-use gasnub::machines::{Dec8400, Machine, MeasureLimits, T3d, T3e};
+use gasnub::machines::{Machine, MachineId, MachineSpec, MeasureLimits};
 
 fn main() {
     let strides = [1u64, 2, 8, 15, 16, 64];
     let words = 1 << 20; // 8 MB transfer
-    let mut machines: Vec<Box<dyn Machine>> = vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ];
+    let mut machines: Vec<Box<dyn Machine>> =
+        [MachineId::Dec8400, MachineId::CrayT3d, MachineId::CrayT3e]
+            .into_iter()
+            .map(|id| -> Box<dyn Machine> {
+                Box::new(
+                    MachineSpec::for_id(id)
+                        .with_limits(MeasureLimits::fast())
+                        .build()
+                        .expect("built-in specs build"),
+                )
+            })
+            .collect();
 
     println!(
         "Cheapest strategy for moving {words} words ({} MB) at each stride:\n",
         (words * 8) >> 20
     );
     for m in &mut machines {
-        m.set_limits(MeasureLimits::fast());
         let model = CostModel::characterize(m.as_mut(), &strides, 32 << 20);
         println!("== {} ==", m.name());
         println!("{:>8} {:>10} {:<42}ranking", "stride", "MB/s", "winner");

@@ -26,8 +26,8 @@ use gasnub::core::{auto_threads, run_indexed, Grid, ResilientSweep, SweepOp};
 use gasnub::fft::run_benchmark;
 use gasnub::fft::scalability;
 use gasnub::machines::{
-    CounterSet, Dec8400, FaultPlan, Machine, MachineId, MachineRegistry, MachineSpec,
-    MeasureLimits, ProbeTier, RingRecorder, SpawnEngine, T3d, T3e,
+    CounterSet, FaultPlan, Machine, MachineId, MachineRegistry, MachineSpec, MeasureLimits,
+    ProbeTier, RingRecorder, SpawnEngine,
 };
 
 fn usage() -> ! {
@@ -86,15 +86,17 @@ fn fail(message: impl std::fmt::Display) -> ! {
 }
 
 fn all_machines() -> Vec<Box<dyn Machine>> {
-    let mut v: Vec<Box<dyn Machine>> = vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ];
-    for m in &mut v {
-        m.set_limits(MeasureLimits::fast());
-    }
-    v
+    [MachineId::Dec8400, MachineId::CrayT3d, MachineId::CrayT3e]
+        .into_iter()
+        .map(|id| -> Box<dyn Machine> {
+            Box::new(
+                MachineSpec::for_id(id)
+                    .with_limits(MeasureLimits::fast())
+                    .build()
+                    .expect("built-in specs build"),
+            )
+        })
+        .collect()
 }
 
 /// Resolves a machine that the §8 scalability projection can model. Any

@@ -88,7 +88,7 @@ fn agreement_sweep(name: &str, spec: &MachineSpec) -> Vec<Residual> {
                 let path = auto.last_path();
                 let sim_cell = dispatch(&mut sim, &req);
                 let cell = format!("{name} {} ws={ws} stride={stride}", op.label());
-                match (tiered_cell.measurement, sim_cell.measurement) {
+                match (tiered_cell, sim_cell) {
                     (None, None) => {} // unsupported on both sides
                     pair @ ((None, Some(_)) | (Some(_), None)) => {
                         panic!("{cell}: tiers disagree on op support ({pair:?})")

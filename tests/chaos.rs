@@ -24,6 +24,7 @@
 //! an artifact.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gasnub::core::chaos::FaultInjector;
@@ -44,9 +45,13 @@ fn model(ws: u64, stride: u64) -> f64 {
     (ws as f64).sqrt() / stride as f64 + 1.0 / 7.0
 }
 
+/// A scratch path no other call in this process returns: the tests run in
+/// parallel threads, so pid and tag alone would collide.
 fn scratch(tag: &str) -> PathBuf {
+    static COUNTER: AtomicUsize = AtomicUsize::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!(
-        "gasnub-chaos-e2e-{}-{tag}.json",
+        "gasnub-chaos-e2e-{}-{tag}-{n}.json",
         std::process::id()
     ))
 }

@@ -5,11 +5,12 @@
 use gasnub::core::sweep::Grid;
 use gasnub::core::{local_load_surface, CostModel};
 use gasnub::fft::run_benchmark;
-use gasnub::machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub::machines::{Machine, MachineId, MachineSpec, MeasureLimits, TransferEngine};
 
-fn fast<M: Machine>(mut m: M) -> M {
-    m.set_limits(MeasureLimits::fast());
-    m
+fn fast(spec: MachineSpec) -> TransferEngine {
+    spec.with_limits(MeasureLimits::fast())
+        .build()
+        .expect("built-in specs build")
 }
 
 #[test]
@@ -22,23 +23,23 @@ fn machine_probes_are_deterministic() {
             m.remote_deposit(4 << 20, 3).map(|r| r.cycles),
         )
     };
-    let mut a = fast(T3d::new());
-    let mut b = fast(T3d::new());
+    let mut a = fast(MachineSpec::t3d());
+    let mut b = fast(MachineSpec::t3d());
     assert_eq!(probe(&mut a), probe(&mut b));
 
-    let mut a = fast(T3e::new());
-    let mut b = fast(T3e::new());
+    let mut a = fast(MachineSpec::t3e());
+    let mut b = fast(MachineSpec::t3e());
     assert_eq!(probe(&mut a), probe(&mut b));
 
-    let mut a = fast(Dec8400::new());
-    let mut b = fast(Dec8400::new());
+    let mut a = fast(MachineSpec::dec8400());
+    let mut b = fast(MachineSpec::dec8400());
     assert_eq!(probe(&mut a), probe(&mut b));
 }
 
 #[test]
 fn repeated_probes_on_one_machine_are_stable() {
     // Each probe flushes, so state from a previous probe must not leak.
-    let mut m = fast(T3e::new());
+    let mut m = fast(MachineSpec::t3e());
     let first = m.local_load(4 << 20, 5).cycles;
     let _ = m.remote_deposit(4 << 20, 16);
     let second = m.local_load(4 << 20, 5).cycles;
@@ -51,8 +52,8 @@ fn surfaces_are_deterministic() {
         strides: vec![1, 8],
         working_sets: vec![64 << 10, 4 << 20],
     };
-    let mut a = fast(T3d::new());
-    let mut b = fast(T3d::new());
+    let mut a = fast(MachineSpec::t3d());
+    let mut b = fast(MachineSpec::t3d());
     assert_eq!(
         local_load_surface(&mut a, &grid),
         local_load_surface(&mut b, &grid)
@@ -61,8 +62,8 @@ fn surfaces_are_deterministic() {
 
 #[test]
 fn cost_models_are_deterministic() {
-    let mut a = fast(T3e::new());
-    let mut b = fast(T3e::new());
+    let mut a = fast(MachineSpec::t3e());
+    let mut b = fast(MachineSpec::t3e());
     let ma = CostModel::characterize(&mut a, &[1, 16], 32 << 20);
     let mb = CostModel::characterize(&mut b, &[1, 16], 32 << 20);
     assert_eq!(ma, mb);
@@ -83,7 +84,7 @@ fn parallel_sweeps_match_sequential_ones_bit_for_bit() {
         strides: vec![1, 8],
         working_sets: vec![64 << 10, 4 << 20],
     };
-    let mut m = fast(T3d::new());
+    let mut m = fast(MachineSpec::t3d());
     let sequential = local_load_surface(&mut m, &grid);
     let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
     let parallel = sweep_surface_par(&spec, SweepOp::LocalLoad, &grid, 4)

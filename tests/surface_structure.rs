@@ -4,18 +4,20 @@
 
 use gasnub::core::bench::local_load_surface;
 use gasnub::core::sweep::Grid;
-use gasnub::machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub::machines::{Machine, MachineId, MachineSpec, MeasureLimits};
 
 fn machines() -> Vec<Box<dyn Machine>> {
-    let mut v: Vec<Box<dyn Machine>> = vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ];
-    for m in &mut v {
-        m.set_limits(MeasureLimits::fast());
-    }
-    v
+    [MachineId::Dec8400, MachineId::CrayT3d, MachineId::CrayT3e]
+        .into_iter()
+        .map(|id| -> Box<dyn Machine> {
+            Box::new(
+                MachineSpec::for_id(id)
+                    .with_limits(MeasureLimits::fast())
+                    .build()
+                    .unwrap(),
+            )
+        })
+        .collect()
 }
 
 fn grid() -> Grid {
